@@ -194,7 +194,12 @@ def parse_document(text):
             elif kind == "chain":
                 if len(toks) != 3 or not toks[2].isdigit():
                     raise ParseError("algebra chain needs a size", lineno, 1)
-                algebra = chain(int(toks[2]))
+                try:
+                    algebra = chain(int(toks[2]))
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"algebra section: {exc}", obj="algebra"
+                    ) from exc
             elif kind in ("custom", "downsets"):
                 algebra, i = _parse_algebra_block(kind, lines, i)
             else:

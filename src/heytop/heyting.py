@@ -249,6 +249,8 @@ def chain(n, cap=DEFAULT_ELEMENT_CAP):
     """
     if n < 1:
         raise ValueError("chain needs at least one element")
+    if n > cap:
+        raise CapExceeded(f"{n} elements exceed the cap of {cap}")
     if n == 1:
         names = ("0",)
     elif n == 2:

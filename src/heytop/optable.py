@@ -9,6 +9,13 @@ makes extensional equality and the quantified degree computations cheap.
 The compatibility degree of O with O' is the meet over all subset pairs
 (U, V) of  overlap(O U, O' V) -> overlap(U, O' V);  in Boolean mode this
 is top exactly when the classical implication holds for all pairs.
+Every instance reads V only through O' V, so V ranges over the image of
+O' alone, each output taken at the first input that produces it.  That is
+exact: meets are idempotent, so a repeated output adds nothing to a
+degree, and its instance degree equals that of its first occurrence,
+which comes earlier in the enumeration, so the first pair reaching the
+lowest instance degree is unchanged.  LL(O) quantifies the same way over
+the image of O.
 LL(O) and RR(O), the greatest left-/right-compatible operators, are
 computed from their pointwise characterizations rather than by searching
 the (impredicative) lattice of all operators.
@@ -55,6 +62,10 @@ class Operator:
         if self._ranks is not None:
             subs = enumerate_all(self.algebra, self.carrier)
             return subs[self._ranks[hset.subset_rank(u)]]
+        return self._run(u)
+
+    def _run(self, u):
+        """Memoized body call; rejects a value from another context."""
         got = self._memo.get(u.degrees)
         if got is None:
             got = self._fn(u)
@@ -71,14 +82,7 @@ class Operator:
         """Outputs as subset ranks, indexed by input rank.  CapExceeded if big."""
         if self._ranks is None:
             subs = enumerate_all(self.algebra, self.carrier, cap)
-            ranks = []
-            for u in subs:
-                got = self._memo.get(u.degrees)
-                if got is None:
-                    got = self._fn(u)
-                    self._memo[u.degrees] = got
-                ranks.append(hset.subset_rank(got))
-            self._ranks = tuple(ranks)
+            self._ranks = tuple(hset.subset_rank(self._run(u)) for u in subs)
         return self._ranks
 
     def __eq__(self, other):
@@ -270,29 +274,25 @@ class OperatorProfile:
 def classify(op, cap=None):
     """Verify or refute the four profile flags over the whole subset space.
 
-    Witnesses are minimal in the fixed enumeration order: the first failing
-    pair (U, V) for monotonicity, the first failing U otherwise.
+    Monotonicity is verified on the covering pairs of the pointwise order
+    only (V raises one point of U to an upper cover of its degree), which
+    by transitivity is equivalent to checking every pair U <= V.  When a
+    covering pair fails, the full pair scan runs, solely to find the
+    minimal witness.  Witnesses are minimal in the fixed enumeration order:
+    the first failing pair (U, V) for monotonicity, the first failing U
+    otherwise.
     """
     subs = enumerate_all(op.algebra, op.carrier, cap)
-    lt = op.algebra.leq_table
     ranks = op.rank_table(cap)
     out = [subs[r] for r in ranks]
 
     monotone = Flag(True)
-    for u in subs:
-        ou = out[hset.subset_rank(u)]
-        broken = False
-        for v in subs:
-            if u.leq(v) and not ou.leq(out[hset.subset_rank(v)]):
-                monotone = Flag(False, (u, v))
-                broken = True
-                break
-        if broken:
-            break
+    if not _monotone_on_covers(op.algebra, len(op.carrier), subs, ranks):
+        monotone = Flag(False, _first_monotonicity_failure(subs, out))
 
     idempotent = Flag(True)
     for i, u in enumerate(subs):
-        if ranks[hset.subset_rank(out[i])] != ranks[i]:
+        if ranks[ranks[i]] != ranks[i]:
             idempotent = Flag(False, u)
             break
 
@@ -311,6 +311,45 @@ def classify(op, cap=None):
     return OperatorProfile(monotone, idempotent, expansive, contractive)
 
 
+def _upper_covers(leq_table):
+    """For each element x, the elements c > x with nothing strictly between."""
+    n = len(leq_table)
+    above = [[c for c in range(n) if c != x and leq_table[x][c]] for x in range(n)]
+    return [
+        [c for c in up if not any(m != c and leq_table[m][c] for m in up)]
+        for up in above
+    ]
+
+
+def _monotone_on_covers(algebra, npts, subs, ranks):
+    """O U <= O V on every covering pair U < V, compared in rank space.
+
+    Raising point a from degree x to c moves the rank by (c - x) * h^(npts-1-a).
+    """
+    lt = algebra.leq_table
+    h = len(algebra)
+    covers = _upper_covers(lt)
+    steps = [h ** (npts - 1 - a) for a in range(npts)]
+    for u, ru in enumerate(ranks):
+        ou = subs[ru].degrees
+        for x, step in zip(subs[u].degrees, steps):
+            for c in covers[x]:
+                rv = ranks[u + (c - x) * step]
+                if rv != ru and not all(
+                    lt[p][q] for p, q in zip(ou, subs[rv].degrees)
+                ):
+                    return False
+    return True
+
+
+def _first_monotonicity_failure(subs, out):
+    """The first pair (U, V) in enumeration order with U <= V, O U !<= O V."""
+    for u, ou in zip(subs, out):
+        for v, ov in zip(subs, out):
+            if u.leq(v) and not ou.leq(ov):
+                return (u, v)
+
+
 # ---------------------------------------------------------------------------
 # quantified degrees and the greatest compatible operators
 
@@ -327,12 +366,14 @@ class _Space:
         self.carrier = carrier
         self.subs = enumerate_all(algebra, carrier, cap)
         n = len(self.subs)
-        if n <= self.PAIR_TABLE_LIMIT:
+        # Rows are bytes, one per degree (an element index), since the
+        # cache keeps every space's tables for the life of the process.
+        if n <= self.PAIR_TABLE_LIMIT and len(algebra) <= 256:
             self.ov = [
-                [hset.overlap(u, v) for v in self.subs] for u in self.subs
+                bytes([hset.overlap(u, v) for v in self.subs]) for u in self.subs
             ]
             self.inc = [
-                [hset.incl(u, v) for v in self.subs] for u in self.subs
+                bytes([hset.incl(u, v) for v in self.subs]) for u in self.subs
             ]
         else:
             self.ov = None
@@ -352,6 +393,15 @@ class _Space:
 _SPACE_CACHE = {}
 
 
+def _image(table):
+    """(first input rank, output rank) for each distinct output of a rank
+    table, in the order of first input."""
+    first = {}
+    for v, r in enumerate(table):
+        first.setdefault(r, v)
+    return [(v, r) for r, v in first.items()]
+
+
 def _space(algebra, carrier, cap=None):
     check_cap(algebra, carrier, cap)
     key = (id(algebra), id(carrier))
@@ -368,15 +418,13 @@ def compat_degree(o1, o2, cap=None):
     alg = o1.algebra
     sp = _space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
+    image = _image(o2.rank_table(cap))
     mt, it = alg.meet_table, alg.imp_table
     bot = alg.bot
-    n = len(sp.subs)
     acc = alg.top
-    for u in range(n):
+    for u in range(len(sp.subs)):
         ou = t1[u]
-        for v in range(n):
-            o2v = t2[v]
+        for _, o2v in image:
             d = it[sp.overlap(ou, o2v)][sp.overlap(u, o2v)]
             acc = mt[acc][d]
             if acc == bot:
@@ -394,17 +442,15 @@ def compat_witness(o1, o2, cap=None):
     alg = o1.algebra
     sp = _space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
+    image = _image(o2.rank_table(cap))
     mt, it = alg.meet_table, alg.imp_table
     lt = alg.leq_table
-    n = len(sp.subs)
     acc = alg.top
     best = alg.top
     where = None
-    for u in range(n):
+    for u in range(len(sp.subs)):
         ou = t1[u]
-        for v in range(n):
-            o2v = t2[v]
+        for v, o2v in image:
             d = it[sp.overlap(ou, o2v)][sp.overlap(u, o2v)]
             acc = mt[acc][d]
             if d != best and lt[d][best]:
@@ -421,15 +467,13 @@ def weak_compat_degree(o1, o2, cap=None):
     alg = o1.algebra
     sp = _space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
+    image = _image(o2.rank_table(cap))
     mt, it = alg.meet_table, alg.imp_table
     bot = alg.bot
-    n = len(sp.subs)
     acc = alg.top
-    for u in range(n):
+    for u in range(len(sp.subs)):
         ou = t1[u]
-        for v in range(n):
-            o2v = t2[v]
+        for _, o2v in image:
             d = it[it[sp.overlap(u, o2v)][bot]][it[sp.overlap(ou, o2v)][bot]]
             acc = mt[acc][d]
             if acc == bot:
@@ -464,18 +508,16 @@ def LL(op, cap=None):
     """
     alg = op.algebra
     sp = _space(alg, op.carrier, cap)
-    t = op.rank_table(cap)
+    image = [(sp.subs[r].degrees, r) for _, r in _image(op.rank_table(cap))]
     mt, it = alg.meet_table, alg.imp_table
     npts = len(op.carrier)
-    n = len(sp.subs)
     ranks = []
-    for u in range(n):
+    for u in range(len(sp.subs)):
         degs = []
         for a in range(npts):
             acc = alg.top
-            for v in range(n):
-                ov_deg = sp.subs[t[v]].degrees[a]
-                acc = mt[acc][it[ov_deg][sp.overlap(u, t[v])]]
+            for ov, r in image:
+                acc = mt[acc][it[ov[a]][sp.overlap(u, r)]]
                 if acc == alg.bot:
                     break
             degs.append(acc)

@@ -3,9 +3,9 @@
 A LawReport records the outcome of one quantified law check: the law id,
 a status, the exact degree when one was computed (as an algebra element
 name, never a numeral), the witness achieving the minimal degree when the
-law fails, and free-form details.  ``elapsed`` is kept for API users but
-deliberately left out of the rendered text so that reports are
-byte-identical across runs.
+law fails, and free-form details.  ``elapsed`` is always 0.0 until a
+stats context sets it, and no code in the package sets it yet.  It is left
+out of the rendered text so that reports are byte-identical across runs.
 """
 
 from __future__ import annotations

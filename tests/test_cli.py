@@ -227,6 +227,18 @@ def test_m3_document_rejected(tmp_path, capsys):
     assert "witness" in err
 
 
+@pytest.mark.parametrize(
+    "size, code", [("0", cli.EXIT_USAGE), ("1000000000000", cli.EXIT_CAP)]
+)
+def test_chain_size_out_of_range(tmp_path, capsys, size, code):
+    doc = tmp_path / "c.doc"
+    doc.write_text(f"algebra chain {size}\ncarrier a\n")
+    assert cli.main(["-d", str(doc), "validate"]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_downsets_document_accepted(tmp_path, capsys):
     doc = tmp_path / "d.doc"
     doc.write_text(

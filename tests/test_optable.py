@@ -2,7 +2,7 @@
 
 import pytest
 
-from heytop import galois, hset, optable as ot
+from heytop import galois, heyting, hset, optable as ot
 from heytop.errors import CapExceeded, ContextMismatch
 from conftest import all_operators
 
@@ -38,6 +38,32 @@ def test_apply_context_mismatch(bool2, ab):
     other = hset.Carrier(["a", "b"])
     with pytest.raises(ContextMismatch):
         ot.identity_op(bool2, ab).apply(hset.full(bool2, other))
+
+
+@pytest.mark.parametrize("literal", [{"b": "u"}, {"a": "1", "b": "1"}])
+def test_tabulation_rejects_foreign_values(bool2, chain3, ab, literal):
+    # {b:u} has a rank inside boolean2's space, {a,b} over chain(3) does not
+    foreign = hset.from_degrees(chain3, ab, literal)
+    with pytest.raises(ContextMismatch):
+        ot.Operator(bool2, ab, lambda u: foreign)
+
+
+def test_quantifiers_over_algebra_with_wide_element_indices():
+    # A 300-element chain listed top first: bottom has index 299, too wide
+    # for the byte rows of the pair tables, so the kernels run without them
+    n = 300
+    alg = heyting.HeytingAlgebra(
+        tuple(str(i) for i in range(n)),
+        tuple(tuple(i >= j for j in range(n)) for i in range(n)),  # leq
+        tuple(tuple(max(i, j) for j in range(n)) for i in range(n)),  # meet
+        tuple(tuple(min(i, j) for j in range(n)) for i in range(n)),  # join
+        tuple(tuple(0 if i >= j else j for j in range(n)) for i in range(n)),  # imp
+        n - 1,
+        0,
+    )
+    ident = ot.identity_op(alg, hset.Carrier([]))
+    assert ot.compat_degree(ident, ident) == alg.top
+    assert ot.classify(ident).is_saturation
 
 
 def test_pointwise_join_meet_boundaries(bool2, ab):
