@@ -653,18 +653,19 @@ def cmd_generate(ws, args, caps):
     ax = _need(ws, "axiom_sets", args[0])
     sat = gen.generate_sat(ax, caps.subset_cap, name=f"A[{args[0]}]")
     red = gen.generate_red(ax, caps.subset_cap, name=f"J[{args[0]}]")
-    t = btop.make(sat, red, cap=caps.subset_cap, name=args[0])
+    btop.make(sat, red, cap=caps.subset_cap, name=args[0])  # compat(A, J) = top
     lines = [f"generated basic topology from {args[0]}:"]
     lines.append(f"  compat degree: {ws.algebra.name(ws.algebra.top)}")
     agrees = optable.op_eq(JJ(sat, caps.subset_cap), red, caps.subset_cap)
     lines.append(f"  JJ(A) == J: {agrees}")
-    saturated, _ = btop.is_saturated(t, caps.subset_cap)
-    lines.append(f"  saturated: {saturated}")
+    # make keeps the certified A and J, so T = [A, J] is saturated, i.e.
+    # equal to T^S = [A, JJ(A)], exactly when JJ(A) == J
+    lines.append(f"  saturated: {agrees}")
     lines.append("  A table:")
     lines.extend(_op_listing(ws, sat))
     lines.append("  J table:")
     lines.extend(_op_listing(ws, red))
-    return lines, EXIT_OK if agrees and saturated else EXIT_LAW_FAILED
+    return lines, EXIT_OK if agrees else EXIT_LAW_FAILED
 
 
 def cmd_represent(ws, args, caps):

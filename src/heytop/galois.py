@@ -13,6 +13,9 @@ the saturation A, computed from splitting subsets:
 
     JJ(A) V (a)  =  join over Z of  incl(Z, V) /\\ splits(Z, A) /\\ Z(a).
 
+The non-Boolean generated reduction (gen.generate_red) is the same
+weighted join with the axiom-set's splitting degrees as weights.
+
 AA and JJ form an antitone Galois connection:
 A included in AA(J), A compatible with J, and J included in JJ(A) all
 carry the same truth degree, which galois_check reports.
@@ -106,11 +109,12 @@ def from_family_sat(family, *, algebra=None, carrier=None, cap=None, name=None):
     mt, it = algebra.meet_table, algebra.imp_table
 
     def fn(u):
+        weights = [hset.incl(u, v) for v in family]
         degs = []
         for a in range(len(carrier)):
             acc = algebra.top
-            for v in family:
-                acc = mt[acc][it[hset.incl(u, v)][v.degrees[a]]]
+            for w, v in zip(weights, family):
+                acc = mt[acc][it[w][v.degrees[a]]]
                 if acc == algebra.bot:
                     break
             degs.append(acc)
@@ -132,11 +136,12 @@ def from_family_red(family, *, algebra=None, carrier=None, cap=None, name=None):
     mt, jt = algebra.meet_table, algebra.join_table
 
     def fn(u):
+        weights = [hset.incl(v, u) for v in family]
         degs = []
         for a in range(len(carrier)):
             acc = algebra.bot
-            for v in family:
-                acc = jt[acc][mt[hset.incl(v, u)][v.degrees[a]]]
+            for w, v in zip(weights, family):
+                acc = jt[acc][mt[w][v.degrees[a]]]
                 if acc == algebra.top:
                     break
             degs.append(acc)
@@ -172,28 +177,37 @@ def JJ(sat, cap=None, name=None):
     Accepts any operator (the splitting formula never needs the argument
     to be a saturation), which is what the union-to-meet law exploits.
     """
-    alg = sat.algebra
-    carrier = sat.carrier
-    subs = hset.enumerate_all(alg, carrier, cap)
-    mt, jt = alg.meet_table, alg.join_table
-    split = [splits_degree(z, sat, cap) for z in subs]
-
-    ranks = []
-    for u in subs:
-        degs = [alg.bot] * len(carrier)
-        for z, s in zip(subs, split):
-            if s == alg.bot:
-                continue
-            w = mt[hset.incl(z, u)][s]
-            if w == alg.bot:
-                continue
-            for a in range(len(carrier)):
-                degs[a] = jt[degs[a]][mt[w][z.degrees[a]]]
-        ranks.append(hset.subset_rank(HSubset(alg, carrier, degs)))
-
-    op = optable._from_ranks(alg, carrier, ranks)
+    sp = hset.space(sat.algebra, sat.carrier, cap)
+    split = [splits_degree(z, sat, cap) for z in sp.subs]
     if name is None:
         name = f"JJ({sat.name or '?'})"
+    return weighted_reduction(sp, split, cap=cap, name=name)
+
+
+def weighted_reduction(space, weights, *, cap=None, name=None):
+    """The reduction  J V (a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a),
+    given one weight w(Z) per rank of Z in the hset.Space.
+
+    Any weights give a reduction; JJ(A) takes w(Z) = splits(Z, A).  Only
+    the Z whose weight is not bot are visited, each reading incl(Z, .)
+    from the space's rows.
+    """
+    alg = space.algebra
+    carrier = space.carrier
+    mt, jt = alg.meet_table, alg.join_table
+    bot = alg.bot
+    acc = [[bot] * len(carrier) for _ in space.subs]
+    for zr, (z, s) in enumerate(zip(space.subs, weights)):
+        if s == bot:
+            continue
+        for degs, inc in zip(acc, space.inc_row(zr)):
+            w = mt[inc][s]
+            if w == bot:
+                continue
+            for a, d in enumerate(z.degrees):
+                degs[a] = jt[degs[a]][mt[w][d]]
+    ranks = [hset.subset_rank(HSubset(alg, carrier, degs)) for degs in acc]
+    op = optable._from_ranks(alg, carrier, ranks)
     return Reduction.certify(op, cap=cap, name=name)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import hset
 from .errors import ContextMismatch
-from .galois import Saturation, Reduction
+from .galois import Saturation, Reduction, weighted_reduction
 from .hset import HSubset
 
 
@@ -129,23 +129,27 @@ def generate_sat(ax, cap=None, name=None):
         )
         return Saturation(alg, carrier, fn, name=name, cap=cap, trusted=not within)
 
-    subs = hset.enumerate_all(alg, carrier, cap)
+    sp = hset.space(alg, carrier, cap)
+    subs = sp.subs
     if ax._fulfills is None:
         ax._fulfills = tuple(fulfills_degree(p, ax) for p in subs)
     fulfills = ax._fulfills
     mt, it = alg.meet_table, alg.imp_table
 
     def fn(u):
+        weighted = []
+        incs = sp.inc_row(hset.subset_rank(u))
+        for p, f, inc in zip(subs, fulfills, incs):
+            if f == alg.bot:
+                continue
+            w = mt[inc][f]
+            if w != alg.bot:
+                weighted.append((w, p.degrees))
         degs = []
         for a in range(len(carrier)):
             acc = alg.top
-            for p, f in zip(subs, fulfills):
-                if f == alg.bot:
-                    continue
-                w = mt[hset.incl(u, p)][f]
-                if w == alg.bot:
-                    continue
-                acc = mt[acc][it[w][p.degrees[a]]]
+            for w, pd in weighted:
+                acc = mt[acc][it[w][pd[a]]]
                 if acc == alg.bot:
                     break
             degs.append(acc)
@@ -187,25 +191,10 @@ def generate_red(ax, cap=None, name=None):
         )
         return Reduction(alg, carrier, fn, name=name, cap=cap, trusted=not within)
 
-    subs = hset.enumerate_all(alg, carrier, cap)
+    sp = hset.space(alg, carrier, cap)
     if ax._splits is None:
-        ax._splits = tuple(splits_axioms_degree(z, ax) for z in subs)
-    split = ax._splits
-    mt, jt = alg.meet_table, alg.join_table
-
-    def fn(u):
-        degs = [alg.bot] * len(carrier)
-        for z, s in zip(subs, split):
-            if s == alg.bot:
-                continue
-            w = mt[hset.incl(z, u)][s]
-            if w == alg.bot:
-                continue
-            for a in range(len(carrier)):
-                degs[a] = jt[degs[a]][mt[w][z.degrees[a]]]
-        return HSubset(alg, carrier, degs)
-
-    return Reduction(alg, carrier, fn, name=name, cap=cap)
+        ax._splits = tuple(splits_axioms_degree(z, ax) for z in sp.subs)
+    return weighted_reduction(sp, ax._splits, cap=cap, name=name)
 
 
 def axioms_from_saturation(sat, cap=None):

@@ -20,9 +20,14 @@ DEFAULT_SUBSET_CAP = 4096
 
 
 class Carrier:
-    """A finite set of named points.  May be empty."""
+    """A finite set of named points.  May be empty.
 
-    __slots__ = ("points", "_index")
+    ``_space`` caches the Space of the last algebra the carrier was
+    enumerated with (see ``space``), so it lives exactly as long as the
+    carrier does.
+    """
+
+    __slots__ = ("points", "_index", "_space")
 
     def __init__(self, points):
         points = tuple(points)
@@ -30,6 +35,7 @@ class Carrier:
             raise ValueError("duplicate point names")
         self.points = points
         self._index = {p: i for i, p in enumerate(points)}
+        self._space = None
 
     def index(self, name):
         try:
@@ -208,22 +214,176 @@ def check_cap(algebra, carrier, cap=None):
     return size
 
 
-_ENUM_CACHE = {}
+class Space:
+    """All subsets of one (algebra, carrier), with memoized overlap/incl rows.
+
+    ``subs`` lists the subsets in enumeration order; a subset is addressed
+    by its rank.  The rows come from a Birkhoff encoding.  A finite Heyting
+    algebra is distributive, so each element x is determined by the set
+    D(x) of join-irreducibles j_k below it, and meet and join are
+    intersection and union of these sets.  A subset U is stored as its
+    planes: U_k is the bitmask of the points a with j_k <= U(a), point a
+    at bit |S|-1-a.  Then
+
+        D(overlap(U, V)) = {k : U_k & V_k != 0}
+        D(incl(U, V))    = the k above no k' with U_k' & ~V_k' != 0
+
+    A Boolean algebra has one join-irreducible, top, and its single plane
+    is the subset's rank (XOR-ed with the full mask when top is index 0).
+
+    ``ov_row(j)[i] = overlap(subs[i], subs[j])`` and
+    ``inc_row(i)[j] = incl(subs[i], subs[j])`` are filled on first read
+    and kept, since a law suite reads the same rows many times; a row is
+    bytes when the algebra has at most 256 elements, a tuple otherwise.
+    Only the rows some kernel reads are ever built, not the n x n tables.
+    ``overlap(i, j)`` and ``incl(i, j)`` read a single entry, from a kept
+    row or else from the planes, for scans that read each pair about once
+    or stop early, where filling a row of n entries would cost more.
+
+    ``space`` keeps the Space in a slot on its carrier, so the enumeration
+    and the rows live exactly as long as the carrier (the document) does.
+    """
+
+    __slots__ = (
+        "algebra", "carrier", "subs", "_planes", "_ov", "_inc",
+        "_bits", "_elem_of", "_up", "_incl_of",
+    )
+
+    def __init__(self, algebra, carrier):
+        self.algebra = algebra
+        self.carrier = carrier
+        self.subs = tuple(
+            HSubset(algebra, carrier, degs)
+            for degs in itertools.product(range(len(algebra)), repeat=len(carrier))
+        )
+        self._planes = None
+        self._ov = [None] * len(self.subs)
+        self._inc = [None] * len(self.subs)
+
+    def _get_planes(self):
+        if self._planes is None:
+            self._encode()
+        return self._planes
+
+    def _encode(self):
+        """Build the planes and the maps from join-irreducible masks to elements."""
+        alg = self.algebra
+        lt = alg.leq_table
+        h = len(alg)
+        if h == 2:
+            flip = (1 << len(self.carrier)) - 1 if alg.top == 0 else 0
+            self._planes = [r ^ flip for r in range(len(self.subs))]
+            return
+        jis = [
+            x for x in range(h)
+            if x != alg.bot
+            and alg.big_join(y for y in range(h) if y != x and lt[y][x]) != x
+        ]
+        down = [[int(lt[j][x]) for j in jis] for x in range(h)]
+        self._bits = [1 << k for k in range(len(jis))]
+        self._elem_of = {
+            sum(b for b, d in zip(self._bits, ds) if d): x for x, ds in enumerate(down)
+        }
+        self._up = [
+            sum(b for b, j2 in zip(self._bits, jis) if lt[j][j2]) for j in jis
+        ]
+        self._incl_of = {}
+        planes = [(0,) * len(jis)]
+        for _ in range(len(self.carrier)):
+            planes = [
+                tuple((p << 1) | d for p, d in zip(ps, down[x]))
+                for ps in planes
+                for x in range(h)
+            ]
+        self._planes = planes
+
+    # The non-Boolean entries, from the planes of two subsets.
+
+    def _overlap_planes(self, u, v):
+        return self._elem_of[sum(b for b, x, y in zip(self._bits, u, v) if x & y)]
+
+    def _incl_planes(self, u, v):
+        bad = sum(b for b, x, y in zip(self._bits, u, v) if x & ~y)
+        got = self._incl_of.get(bad)
+        if got is None:
+            # the join-irreducibles above no bad one
+            above = 0
+            for b, up in zip(self._bits, self._up):
+                if bad & b:
+                    above |= up
+            got = self._incl_of[bad] = self._elem_of[
+                ((1 << len(self._bits)) - 1) ^ above
+            ]
+        return got
+
+    def overlap(self, i, j):
+        """overlap(subs[i], subs[j]): one entry, without filling a row."""
+        row = self._ov[j]
+        if row is not None:
+            return row[i]
+        planes = self._get_planes()
+        alg = self.algebra
+        if len(alg) == 2:
+            return alg.top if planes[i] & planes[j] else alg.bot
+        return self._overlap_planes(planes[i], planes[j])
+
+    def incl(self, i, j):
+        """incl(subs[i], subs[j]): one entry, without filling a row."""
+        row = self._inc[i]
+        if row is not None:
+            return row[j]
+        planes = self._get_planes()
+        alg = self.algebra
+        if len(alg) == 2:
+            return alg.bot if planes[i] & ~planes[j] else alg.top
+        return self._incl_planes(planes[i], planes[j])
+
+    def ov_row(self, j):
+        """overlap(subs[i], subs[j]) for every rank i."""
+        row = self._ov[j]
+        if row is None:
+            planes = self._get_planes()
+            v = planes[j]
+            alg = self.algebra
+            if len(alg) == 2:
+                top, bot = alg.top, alg.bot
+                vals = [top if u & v else bot for u in planes]
+            else:
+                vals = [self._overlap_planes(u, v) for u in planes]
+            row = self._ov[j] = self._row(vals)
+        return row
+
+    def inc_row(self, i):
+        """incl(subs[i], subs[j]) for every rank j."""
+        row = self._inc[i]
+        if row is None:
+            planes = self._get_planes()
+            u = planes[i]
+            alg = self.algebra
+            if len(alg) == 2:
+                top, bot = alg.top, alg.bot
+                vals = [bot if u & ~v else top for v in planes]
+            else:
+                vals = [self._incl_planes(u, v) for v in planes]
+            row = self._inc[i] = self._row(vals)
+        return row
+
+    def _row(self, values):
+        return bytes(values) if len(self.algebra) <= 256 else tuple(values)
+
+
+def space(algebra, carrier, cap=None):
+    """The Space of (algebra, carrier), cached on the carrier.  CapExceeded if big."""
+    check_cap(algebra, carrier, cap)
+    sp = carrier._space
+    if sp is None or sp.algebra is not algebra:
+        sp = carrier._space = Space(algebra, carrier)
+    return sp
 
 
 def enumerate_all(algebra, carrier, cap=None):
     """All HSubsets over (algebra, carrier), in fixed lexicographic order."""
-    check_cap(algebra, carrier, cap)
-    key = (id(algebra), id(carrier))
-    cached = _ENUM_CACHE.get(key)
-    if cached is None or cached[0] is not algebra or cached[1] is not carrier:
-        subs = tuple(
-            HSubset(algebra, carrier, degs)
-            for degs in itertools.product(range(len(algebra)), repeat=len(carrier))
-        )
-        cached = (algebra, carrier, subs)
-        _ENUM_CACHE[key] = cached
-    return cached[2]
+    return space(algebra, carrier, cap).subs
 
 
 def subset_rank(u):

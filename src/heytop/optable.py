@@ -19,6 +19,17 @@ the image of O.
 LL(O) and RR(O), the greatest left-/right-compatible operators, are
 computed from their pointwise characterizations rather than by searching
 the (impredicative) lattice of all operators.
+
+The quantified kernels work on subset ranks and read overlap and incl
+from the context's hset.Space.  The compat kernels, LL and the
+non-Boolean splits_degree read whole rows (``ov_row``), computed from
+the space's Birkhoff bit-planes on first read and kept on the space,
+which its carrier holds: repeated calls over one document share rows,
+and a dropped document frees them.  The operator orders and the Boolean
+splits_degree read each pair about once or stop at the first bot, so
+they read single entries (``overlap``, ``incl``) instead of filling rows
+of |H|^|S| entries.  A kernel whose answer is a meet reads each distinct
+pair of degrees once.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass
 
 from . import hset
 from .errors import ContextMismatch
-from .hset import HSubset, enumerate_all, check_cap, space_size
+from .hset import HSubset, enumerate_all, space_size
 
 
 class Operator:
@@ -354,45 +365,6 @@ def _first_monotonicity_failure(subs, out):
 # quantified degrees and the greatest compatible operators
 
 
-class _Space:
-    """Per-(algebra, carrier) tables shared by the quantified computations."""
-
-    __slots__ = ("algebra", "carrier", "subs", "ov", "inc")
-
-    PAIR_TABLE_LIMIT = 256
-
-    def __init__(self, algebra, carrier, cap):
-        self.algebra = algebra
-        self.carrier = carrier
-        self.subs = enumerate_all(algebra, carrier, cap)
-        n = len(self.subs)
-        # Rows are bytes, one per degree (an element index), since the
-        # cache keeps every space's tables for the life of the process.
-        if n <= self.PAIR_TABLE_LIMIT and len(algebra) <= 256:
-            self.ov = [
-                bytes([hset.overlap(u, v) for v in self.subs]) for u in self.subs
-            ]
-            self.inc = [
-                bytes([hset.incl(u, v) for v in self.subs]) for u in self.subs
-            ]
-        else:
-            self.ov = None
-            self.inc = None
-
-    def overlap(self, i, j):
-        if self.ov is not None:
-            return self.ov[i][j]
-        return hset.overlap(self.subs[i], self.subs[j])
-
-    def incl(self, i, j):
-        if self.inc is not None:
-            return self.inc[i][j]
-        return hset.incl(self.subs[i], self.subs[j])
-
-
-_SPACE_CACHE = {}
-
-
 def _image(table):
     """(first input rank, output rank) for each distinct output of a rank
     table, in the order of first input."""
@@ -402,34 +374,31 @@ def _image(table):
     return [(v, r) for r, v in first.items()]
 
 
-def _space(algebra, carrier, cap=None):
-    check_cap(algebra, carrier, cap)
-    key = (id(algebra), id(carrier))
-    got = _SPACE_CACHE.get(key)
-    if got is None or got.algebra is not algebra or got.carrier is not carrier:
-        got = _Space(algebra, carrier, cap)
-        _SPACE_CACHE[key] = got
-    return got
+def _meet_over_rows(alg, rows, t1, instance):
+    """Meet of instance[row[t1[u]]][row[u]] over every row and every rank u.
+
+    Only the distinct (row[t1[u]], row[u]) pairs are looked up: meets are
+    idempotent and commutative, so repeats and order do not matter.
+    """
+    mt = alg.meet_table
+    bot = alg.bot
+    acc = alg.top
+    for row in rows:
+        for x, y in set(zip(map(row.__getitem__, t1), row)):
+            acc = mt[acc][instance[x][y]]
+            if acc == bot:
+                return acc
+    return acc
 
 
 def compat_degree(o1, o2, cap=None):
     """Meet over all (U, V) of  (O1 U over O2 V) -> (U over O2 V)."""
     _same_op_context(o1, o2)
     alg = o1.algebra
-    sp = _space(alg, o1.carrier, cap)
+    sp = hset.space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
-    image = _image(o2.rank_table(cap))
-    mt, it = alg.meet_table, alg.imp_table
-    bot = alg.bot
-    acc = alg.top
-    for u in range(len(sp.subs)):
-        ou = t1[u]
-        for _, o2v in image:
-            d = it[sp.overlap(ou, o2v)][sp.overlap(u, o2v)]
-            acc = mt[acc][d]
-            if acc == bot:
-                return acc
-    return acc
+    rows = [sp.ov_row(r) for _, r in _image(o2.rank_table(cap))]
+    return _meet_over_rows(alg, rows, t1, alg.imp_table)
 
 
 def compat_witness(o1, o2, cap=None):
@@ -440,24 +409,25 @@ def compat_witness(o1, o2, cap=None):
     """
     _same_op_context(o1, o2)
     alg = o1.algebra
-    sp = _space(alg, o1.carrier, cap)
+    sp = hset.space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
     image = _image(o2.rank_table(cap))
+    rows = [sp.ov_row(r) for _, r in image]
     mt, it = alg.meet_table, alg.imp_table
     lt = alg.leq_table
-    acc = alg.top
+    acc = _meet_over_rows(alg, rows, t1, it)
+    if acc == alg.top:
+        return acc, None
     best = alg.top
     where = None
-    for u in range(len(sp.subs)):
-        ou = t1[u]
-        for v, o2v in image:
-            d = it[sp.overlap(ou, o2v)][sp.overlap(u, o2v)]
-            acc = mt[acc][d]
+    for u, ou in enumerate(t1):
+        for (v, _), row in zip(image, rows):
+            d = it[row[ou]][row[u]]
             if d != best and lt[d][best]:
                 best = d
                 where = (sp.subs[u], sp.subs[v])
-                if best == alg.bot:
-                    return best, where
+                if best == acc:
+                    return acc, where
     return acc, where
 
 
@@ -465,20 +435,13 @@ def weak_compat_degree(o1, o2, cap=None):
     """Meet over (U, V) of  not(U over O2 V) -> not(O1 U over O2 V)."""
     _same_op_context(o1, o2)
     alg = o1.algebra
-    sp = _space(alg, o1.carrier, cap)
+    sp = hset.space(alg, o1.carrier, cap)
     t1 = o1.rank_table(cap)
-    image = _image(o2.rank_table(cap))
-    mt, it = alg.meet_table, alg.imp_table
-    bot = alg.bot
-    acc = alg.top
-    for u in range(len(sp.subs)):
-        ou = t1[u]
-        for _, o2v in image:
-            d = it[it[sp.overlap(u, o2v)][bot]][it[sp.overlap(ou, o2v)][bot]]
-            acc = mt[acc][d]
-            if acc == bot:
-                return acc
-    return acc
+    rows = [sp.ov_row(r) for _, r in _image(o2.rank_table(cap))]
+    it = alg.imp_table
+    h = range(len(alg))
+    instance = [[it[alg.neg(y)][alg.neg(x)] for y in h] for x in h]
+    return _meet_over_rows(alg, rows, t1, instance)
 
 
 def splits_degree(z, op, cap=None):
@@ -489,17 +452,18 @@ def splits_degree(z, op, cap=None):
     if z.algebra is not op.algebra or z.carrier is not op.carrier:
         raise ContextMismatch("subset and operator live over different contexts")
     alg = op.algebra
-    sp = _space(alg, op.carrier, cap)
-    t = op.rank_table(cap)
-    mt, it = alg.meet_table, alg.imp_table
+    sp = hset.space(alg, op.carrier, cap)
     zr = hset.subset_rank(z)
-    acc = alg.top
-    for u in range(len(sp.subs)):
-        d = it[sp.overlap(t[u], zr)][sp.overlap(u, zr)]
-        acc = mt[acc][d]
-        if acc == alg.bot:
-            return acc
-    return acc
+    t = op.rank_table(cap)
+    if len(alg) != 2:
+        return _meet_over_rows(alg, [sp.ov_row(zr)], t, alg.imp_table)
+    # Boolean: most Z fail within a few U, long before a row would be
+    # filled, so read single overlaps and stop at the first bot instance
+    top, bot = alg.top, alg.bot
+    for u, o in enumerate(t):
+        if sp.overlap(u, zr) == bot and sp.overlap(o, zr) == top:
+            return bot
+    return top
 
 
 def LL(op, cap=None):
@@ -507,20 +471,19 @@ def LL(op, cap=None):
     LL(O) U (a) = meet over V of  O V (a) -> (U over O V).
     """
     alg = op.algebra
-    sp = _space(alg, op.carrier, cap)
-    image = [(sp.subs[r].degrees, r) for _, r in _image(op.rank_table(cap))]
+    sp = hset.space(alg, op.carrier, cap)
+    image = [(sp.subs[r].degrees, sp.ov_row(r)) for _, r in _image(op.rank_table(cap))]
     mt, it = alg.meet_table, alg.imp_table
-    npts = len(op.carrier)
+    top = alg.top
     ranks = []
     for u in range(len(sp.subs)):
-        degs = []
-        for a in range(npts):
-            acc = alg.top
-            for ov, r in image:
-                acc = mt[acc][it[ov[a]][sp.overlap(u, r)]]
-                if acc == alg.bot:
-                    break
-            degs.append(acc)
+        degs = [top] * len(op.carrier)
+        for ov, row in image:
+            x = row[u]
+            if x == top:  # every d -> top is top
+                continue
+            for a, d in enumerate(ov):
+                degs[a] = mt[degs[a]][it[d][x]]
         ranks.append(hset.subset_rank(HSubset(alg, op.carrier, degs)))
     return _from_ranks(alg, op.carrier, ranks, name=f"LL({op.name or '?'})")
 
@@ -530,11 +493,11 @@ def RR(op, cap=None):
     subset, computed degree-wise as join over Z of splits(Z, O) /\\ Z(a).
     """
     alg = op.algebra
-    sp = _space(alg, op.carrier, cap)
+    subs = hset.enumerate_all(alg, op.carrier, cap)
     mt, jt = alg.meet_table, alg.join_table
     npts = len(op.carrier)
     degs = [alg.bot] * npts
-    for z in sp.subs:
+    for z in subs:
         s = splits_degree(z, op, cap)
         if s == alg.bot:
             continue
@@ -548,46 +511,36 @@ def RR(op, cap=None):
 # operator-level orders
 
 
+def _incl_pairs(o1, o2, cap):
+    """The space and the distinct rank pairs (O1 U, O2 U) over all U; the
+    order degrees are meets, so each distinct pair is read once."""
+    _same_op_context(o1, o2)
+    sp = hset.space(o1.algebra, o1.carrier, cap)
+    pairs = set(zip(o1.rank_table(cap), o2.rank_table(cap)))
+    return sp, pairs
+
+
 def op_incl_degree(o1, o2, cap=None):
     """Meet over U of incl(O1 U, O2 U)."""
-    _same_op_context(o1, o2)
+    sp, pairs = _incl_pairs(o1, o2, cap)
     alg = o1.algebra
-    sp = _space(alg, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
-    mt = alg.meet_table
-    acc = alg.top
-    for u in range(len(sp.subs)):
-        acc = mt[acc][sp.incl(t1[u], t2[u])]
-        if acc == alg.bot:
-            return acc
-    return acc
+    return alg.big_meet(sp.incl(a, b) for a, b in pairs)
 
 
 def op_eq_degree(o1, o2, cap=None):
     """Meet over U of eq_degree(O1 U, O2 U)."""
-    _same_op_context(o1, o2)
+    sp, pairs = _incl_pairs(o1, o2, cap)
     alg = o1.algebra
-    sp = _space(alg, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
-    mt = alg.meet_table
-    acc = alg.top
-    for u in range(len(sp.subs)):
-        acc = mt[acc][mt[sp.incl(t1[u], t2[u])][sp.incl(t2[u], t1[u])]]
-        if acc == alg.bot:
-            return acc
-    return acc
+    return alg.big_meet(
+        alg.meet(sp.incl(a, b), sp.incl(b, a)) for a, b in pairs
+    )
 
 
 def op_leq(o1, o2, cap=None):
     """Pointwise operator order: O1 U <= O2 U for every U (a boolean)."""
-    _same_op_context(o1, o2)
-    sp = _space(o1.algebra, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
+    sp, pairs = _incl_pairs(o1, o2, cap)
     top = o1.algebra.top
-    return all(sp.incl(t1[u], t2[u]) == top for u in range(len(sp.subs)))
+    return all(sp.incl(a, b) == top for a, b in pairs)
 
 
 def op_eq(o1, o2, cap=None):
@@ -599,12 +552,12 @@ def op_eq(o1, o2, cap=None):
 def op_eq_witness(o1, o2, cap=None):
     """First subset where the two operators differ, or None if equal."""
     _same_op_context(o1, o2)
-    sp = _space(o1.algebra, o1.carrier, cap)
+    subs = enumerate_all(o1.algebra, o1.carrier, cap)
     t1 = o1.rank_table(cap)
     t2 = o2.rank_table(cap)
-    for u in range(len(sp.subs)):
+    for u in range(len(subs)):
         if t1[u] != t2[u]:
-            return sp.subs[u]
+            return subs[u]
     return None
 
 

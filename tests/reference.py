@@ -1,8 +1,9 @@
-"""A deliberately naive evaluator of the quantified kernels in optable.
+"""A deliberately naive evaluator of the quantified kernels in optable and
+of galois.JJ.
 
 Subsets are degree tuples in the documented enumeration order
 (itertools.product over element indices), operators are rank tables, and
-every quantifier runs over the whole space: no pair tables, no
+every quantifier runs over the whole space: no overlap or incl rows, no
 short-circuits, no restriction to covering pairs or to an operator's image.
 Only the algebra's derived meet/join/implication tables are shared with the
 package.  Witnesses are returned as ranks.
@@ -23,6 +24,20 @@ def _overlap(alg, u, v):
     acc = alg.bot
     for x, y in zip(u, v):
         acc = alg.join_table[acc][alg.meet_table[x][y]]
+    return acc
+
+
+def _incl(alg, u, v):
+    acc = alg.top
+    for x, y in zip(u, v):
+        acc = alg.meet_table[acc][alg.imp_table[x][y]]
+    return acc
+
+
+def _join(alg, xs):
+    acc = alg.bot
+    for x in xs:
+        acc = alg.join_table[acc][x]
     return acc
 
 
@@ -112,3 +127,63 @@ def LL(alg, npts, table):
         )
         out.append(subs.index(degs))
     return out
+
+
+def splits_degree(alg, npts, z, table):
+    """Meet over U of (O U over Z) -> (U over Z), Z given as a rank."""
+    subs = subsets(alg, npts)
+    imp = alg.imp_table
+    return _meet(
+        alg,
+        (
+            imp[_overlap(alg, subs[table[u]], subs[z])][_overlap(alg, subs[u], subs[z])]
+            for u in range(len(subs))
+        ),
+    )
+
+
+def _splits(alg, npts, table):
+    return [splits_degree(alg, npts, z, table) for z in range(len(alg) ** npts)]
+
+
+def RR(alg, npts, table):
+    """Rank of RR(O)'s constant value: join over Z of splits(Z) /\\ Z(a)."""
+    subs = subsets(alg, npts)
+    split = _splits(alg, npts, table)
+    mt = alg.meet_table
+    degs = tuple(
+        _join(alg, (mt[s][z[a]] for z, s in zip(subs, split))) for a in range(npts)
+    )
+    return subs.index(degs)
+
+
+def JJ(alg, npts, table):
+    """Rank table of JJ(O): V(a) = join over Z of incl(Z, V) /\\ splits(Z) /\\ Z(a)."""
+    subs = subsets(alg, npts)
+    split = _splits(alg, npts, table)
+    mt = alg.meet_table
+    out = []
+    for v in subs:
+        degs = tuple(
+            _join(alg, (mt[mt[_incl(alg, z, v)][s]][z[a]] for z, s in zip(subs, split)))
+            for a in range(npts)
+        )
+        out.append(subs.index(degs))
+    return out
+
+
+def op_incl_degree(alg, npts, t1, t2):
+    subs = subsets(alg, npts)
+    return _meet(alg, (_incl(alg, subs[a], subs[b]) for a, b in zip(t1, t2)))
+
+
+def op_eq_degree(alg, npts, t1, t2):
+    subs = subsets(alg, npts)
+    mt = alg.meet_table
+    return _meet(
+        alg,
+        (
+            mt[_incl(alg, subs[a], subs[b])][_incl(alg, subs[b], subs[a])]
+            for a, b in zip(t1, t2)
+        ),
+    )

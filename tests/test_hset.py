@@ -1,9 +1,11 @@
 """Subset algebra: overlap, inclusion, complement, enumeration."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from heytop import heyting, hset
+from heytop import heyting, hset, optable
 from heytop.errors import CapExceeded, ContextMismatch
 
 
@@ -69,6 +71,31 @@ def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         hset.enumerate_all(alg, s)
     assert len(hset.enumerate_all(alg, hset.Carrier(["x"]), cap=4)) == 4
+
+
+def test_space_lives_as_long_as_its_carrier(chain3):
+    # The space (enumeration and memoized rows) is cached on its carrier,
+    # so dropping throwaway carriers frees their spaces.
+    def live_spaces():
+        return sum(type(o) is hset.Space for o in gc.get_objects())
+
+    gc.collect()
+    before = live_spaces()
+    carriers = [hset.Carrier([f"p{j}" for j in range(5)]) for _ in range(50)]
+    for car in carriers:
+        ident = optable.identity_op(chain3, car)
+        optable.compat_degree(ident, optable.bottom_op(chain3, car))
+    assert live_spaces() == before + 50
+    del carriers, car, ident
+    gc.collect()
+    assert live_spaces() == before
+
+
+def test_space_follows_the_algebra(bool2, chain3):
+    car = hset.Carrier(["a", "b"])
+    assert len(hset.enumerate_all(bool2, car)) == 4
+    assert len(hset.enumerate_all(chain3, car)) == 9
+    assert hset.enumerate_all(bool2, car)[3].algebra is bool2
 
 
 def test_empty_carrier(bool2):

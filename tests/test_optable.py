@@ -50,7 +50,7 @@ def test_tabulation_rejects_foreign_values(bool2, chain3, ab, literal):
 
 def test_quantifiers_over_algebra_with_wide_element_indices():
     # A 300-element chain listed top first: bottom has index 299, too wide
-    # for the byte rows of the pair tables, so the kernels run without them
+    # for a byte, so the space's overlap and incl rows are tuples
     n = 300
     alg = heyting.HeytingAlgebra(
         tuple(str(i) for i in range(n)),
@@ -63,6 +63,7 @@ def test_quantifiers_over_algebra_with_wide_element_indices():
     )
     ident = ot.identity_op(alg, hset.Carrier([]))
     assert ot.compat_degree(ident, ident) == alg.top
+    assert ot.op_incl_degree(ident, ident) == alg.top
     assert ot.classify(ident).is_saturation
 
 

@@ -1,10 +1,11 @@
-"""Differential test: classify, compat and LL against the naive reference.
+"""Differential test: the quantified kernels against the naive reference.
 
 Rank tables are drawn at random (almost never monotone, so the full-scan
 witness search runs) or taken from real saturations and reductions, some
 with one entry perturbed (then monotone except around that entry).
 The spaces include non-chain algebras whose element indices are not a
-linear extension of their order.
+linear extension of their order, a two-element algebra listed top first
+and a one-element algebra.
 """
 
 import pytest
@@ -40,6 +41,11 @@ def _spaces():
             two,
         ),
         "custom": (scrambled, two),
+        "top-first-boolean": (
+            heyting.build_from_order(("1", "0"), [("0", "1")]),
+            hset.Carrier(["a", "b", "c"]),
+        ),
+        "one-element": (heyting.build_from_order(("0",), []), two),
     }
 
 
@@ -134,3 +140,48 @@ def test_ll_matches_reference(name, data):
     table = data.draw(rank_tables(space))
     got = ot.LL(_operator(space, table)).rank_table()
     assert list(got) == ref.LL(space[0], len(space[1]), table)
+
+
+@space_names
+def test_space_matches_overlap_and_incl(name):
+    alg, car = SPACES[name]
+    sp = hset.Space(alg, car)  # fresh, so single entries come from the planes
+    subs = sp.subs
+    ranks = range(len(subs))
+    for j, v in enumerate(subs):
+        overlaps = [hset.overlap(u, v) for u in subs]
+        incls = [hset.incl(v, w) for w in subs]
+        assert [sp.overlap(i, j) for i in ranks] == overlaps
+        assert [sp.incl(j, k) for k in ranks] == incls
+        assert list(sp.ov_row(j)) == overlaps
+        assert list(sp.inc_row(j)) == incls
+
+
+@space_names
+@settings(max_examples=15)
+@given(data=st.data())
+def test_splitting_kernels_match_reference(name, data):
+    space = SPACES[name]
+    alg, npts = space[0], len(space[1])
+    table = data.draw(rank_tables(space))
+    op = _operator(space, table)
+    subs = hset.enumerate_all(*space)
+    z = data.draw(st.integers(0, len(subs) - 1))
+    assert ot.splits_degree(subs[z], op) == ref.splits_degree(alg, npts, z, table)
+    assert ot.RR(op).rank_table()[0] == ref.RR(alg, npts, table)
+    assert list(galois.JJ(op).rank_table()) == ref.JJ(alg, npts, table)
+
+
+@space_names
+@settings(max_examples=20)
+@given(data=st.data())
+def test_operator_orders_match_reference(name, data):
+    space = SPACES[name]
+    alg, npts = space[0], len(space[1])
+    t1 = data.draw(rank_tables(space))
+    t2 = data.draw(rank_tables(space))
+    o1, o2 = _operator(space, t1), _operator(space, t2)
+    incl = ref.op_incl_degree(alg, npts, t1, t2)
+    assert ot.op_incl_degree(o1, o2) == incl
+    assert ot.op_eq_degree(o1, o2) == ref.op_eq_degree(alg, npts, t1, t2)
+    assert ot.op_leq(o1, o2) == (incl == alg.top)
