@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import hset
 from .errors import ContextMismatch, NotCompatible
 from .galois import AA, JJ, Saturation, Reduction, meet_saturations, join_reductions
 from .optable import compat_witness, op_incl_degree, op_eq, op_eq_witness
@@ -107,10 +108,7 @@ def join_family(tops, *, algebra=None, carrier=None, cap=None, name=None):
     re-checked, so a failure here would expose an implementation bug.
     """
     tops = list(tops)
-    if tops:
-        algebra, carrier = tops[0].algebra, tops[0].carrier
-    if algebra is None or carrier is None:
-        raise ValueError("an empty family needs algebra and carrier")
+    algebra, carrier = hset.family_context(tops, algebra, carrier)
     sat = meet_saturations(
         [t.sat for t in tops], algebra=algebra, carrier=carrier, cap=cap
     )

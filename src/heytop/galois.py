@@ -7,14 +7,19 @@ verifies the profile, so an uncertified value cannot exist; generated
 operators on spaces too large to enumerate may instead carry a
 by-construction certificate.
 
-AA(J) is the greatest saturation compatible with the reduction J and is
-one code path with LL; JJ(A) is the greatest reduction compatible with
-the saturation A, computed from splitting subsets:
+Every saturation or reduction built from a weighted family of subsets is
+one of two formulas, each computed in one place, with one weight per
+subset rank:
 
-    JJ(A) V (a)  =  join over Z of  incl(Z, V) /\\ splits(Z, A) /\\ Z(a).
+    weighted_saturation:  A U (a) = meet over P of (incl(U, P) /\\ w(P)) -> P(a)
+    weighted_reduction:   J V (a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a)
 
-The non-Boolean generated reduction (gen.generate_red) is the same
-weighted join with the axiom-set's splitting degrees as weights.
+from_family_sat and from_family_red (A_P and J_P, and through them
+join_saturations and meet_reductions) weigh each member top and every
+other subset bot; JJ(A) weighs Z by splits(Z, A); the non-Boolean
+gen.generate_sat and gen.generate_red weigh by the axiom-set's fulfilling
+and splitting degrees.  AA(J), the greatest saturation compatible with the
+reduction J, is one code path with LL.
 
 AA and JJ form an antitone Galois connection:
 A included in AA(J), A compatible with J, and J included in JJ(A) all
@@ -24,7 +29,7 @@ carry the same truth degree, which galois_check reports.
 from __future__ import annotations
 
 from . import hset, optable
-from .errors import CertificateFailure, ContextMismatch
+from .errors import CertificateFailure
 from .hset import HSubset
 from .optable import Operator, classify, LL, splits_degree
 from .reports import LawReport, HOLDS, FAILS
@@ -105,24 +110,10 @@ def from_family_sat(family, *, algebra=None, carrier=None, cap=None, name=None):
     gives the top operator.
     """
     family = list(family)
-    algebra, carrier = _family_context(family, algebra, carrier)
-    mt, it = algebra.meet_table, algebra.imp_table
-
-    def fn(u):
-        weights = [hset.incl(u, v) for v in family]
-        degs = []
-        for a in range(len(carrier)):
-            acc = algebra.top
-            for w, v in zip(weights, family):
-                acc = mt[acc][it[w][v.degrees[a]]]
-                if acc == algebra.bot:
-                    break
-            degs.append(acc)
-        return HSubset(algebra, carrier, degs)
-
+    sp, weights = _family_weights(family, algebra, carrier, cap)
     if name is None:
         name = "A_P[" + ",".join(v.render() for v in family) + "]"
-    return Saturation(algebra, carrier, fn, name=name, cap=cap)
+    return weighted_saturation(sp, weights, cap=cap, name=name)
 
 
 def from_family_red(family, *, algebra=None, carrier=None, cap=None, name=None):
@@ -132,35 +123,20 @@ def from_family_red(family, *, algebra=None, carrier=None, cap=None, name=None):
     The empty family gives the bot operator.
     """
     family = list(family)
-    algebra, carrier = _family_context(family, algebra, carrier)
-    mt, jt = algebra.meet_table, algebra.join_table
-
-    def fn(u):
-        weights = [hset.incl(v, u) for v in family]
-        degs = []
-        for a in range(len(carrier)):
-            acc = algebra.bot
-            for w, v in zip(weights, family):
-                acc = jt[acc][mt[w][v.degrees[a]]]
-                if acc == algebra.top:
-                    break
-            degs.append(acc)
-        return HSubset(algebra, carrier, degs)
-
+    sp, weights = _family_weights(family, algebra, carrier, cap)
     if name is None:
         name = "J_P[" + ",".join(v.render() for v in family) + "]"
-    return Reduction(algebra, carrier, fn, name=name, cap=cap)
+    return weighted_reduction(sp, weights, cap=cap, name=name)
 
 
-def _family_context(family, algebra, carrier):
-    if family:
-        algebra, carrier = family[0].algebra, family[0].carrier
-        for v in family:
-            if v.algebra is not algebra or v.carrier is not carrier:
-                raise ContextMismatch("family members live over different contexts")
-    if algebra is None or carrier is None:
-        raise ValueError("an empty family needs algebra and carrier")
-    return algebra, carrier
+def _family_weights(family, algebra, carrier, cap):
+    """The family's Space and its weights: top at each member's rank, else bot."""
+    algebra, carrier = hset.family_context(family, algebra, carrier)
+    sp = hset.space(algebra, carrier, cap)
+    weights = [algebra.bot] * len(sp.subs)
+    for v in family:
+        weights[hset.subset_rank(v)] = algebra.top
+    return sp, weights
 
 
 def AA(red, cap=None, name=None):
@@ -184,13 +160,44 @@ def JJ(sat, cap=None, name=None):
     return weighted_reduction(sp, split, cap=cap, name=name)
 
 
+def weighted_saturation(space, weights, *, cap=None, name=None):
+    """The saturation  A U (a) = meet over P of (incl(U, P) /\\ w(P)) -> P(a),
+    given one weight w(P) per rank of P in the hset.Space.
+
+    Any weights give a saturation; A_P takes w = top on the family, the
+    generated saturation w(P) = fulfills(P).  Only the P whose weight is
+    not bot are visited, and incl(U, P) is read as single entries: a
+    family of a few members would not pay for whole rows.
+    """
+    alg = space.algebra
+    carrier = space.carrier
+    mt, it = alg.meet_table, alg.imp_table
+    top, bot = alg.top, alg.bot
+    members = [
+        (p, s, space.subs[p].degrees) for p, s in enumerate(weights) if s != bot
+    ]
+    ranks = []
+    for u in range(len(space.subs)):
+        degs = [top] * len(carrier)
+        for p, s, pd in members:
+            w = mt[space.incl(u, p)][s]
+            if w == bot:  # bot -> d is top
+                continue
+            for a, d in enumerate(pd):
+                degs[a] = mt[degs[a]][it[w][d]]
+        ranks.append(hset.subset_rank(HSubset(alg, carrier, degs)))
+    op = optable._from_ranks(alg, carrier, ranks)
+    return Saturation.certify(op, cap=cap, name=name)
+
+
 def weighted_reduction(space, weights, *, cap=None, name=None):
     """The reduction  J V (a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a),
     given one weight w(Z) per rank of Z in the hset.Space.
 
-    Any weights give a reduction; JJ(A) takes w(Z) = splits(Z, A).  Only
-    the Z whose weight is not bot are visited, each reading incl(Z, .)
-    from the space's rows.
+    Any weights give a reduction; J_P takes w = top on the family, JJ(A)
+    w(Z) = splits(Z, A), the generated reduction the axiom-set's splitting
+    degree.  Only the Z whose weight is not bot are visited, each reading
+    incl(Z, .) from the space's rows.
     """
     alg = space.algebra
     carrier = space.carrier
@@ -239,10 +246,7 @@ def join_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
     the bottom of SAT(S).
     """
     sats = list(sats)
-    if sats:
-        algebra, carrier = sats[0].algebra, sats[0].carrier
-    if algebra is None or carrier is None:
-        raise ValueError("an empty family needs algebra and carrier")
+    algebra, carrier = hset.family_context(sats, algebra, carrier)
     subs = hset.enumerate_all(algebra, carrier, cap)
     fam = [u for u in subs if all(a.apply(u) == u for a in sats)]
     return from_family_sat(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)
@@ -256,10 +260,7 @@ def meet_reductions(reds, *, algebra=None, carrier=None, cap=None, name=None):
     of RED(S).
     """
     reds = list(reds)
-    if reds:
-        algebra, carrier = reds[0].algebra, reds[0].carrier
-    if algebra is None or carrier is None:
-        raise ValueError("an empty family needs algebra and carrier")
+    algebra, carrier = hset.family_context(reds, algebra, carrier)
     subs = hset.enumerate_all(algebra, carrier, cap)
     fam = [u for u in subs if all(j.apply(u) == u for j in reds)]
     return from_family_red(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)

@@ -4,11 +4,15 @@ An axiom-set gives, for each point a, a finite list of covers C(a,i).
 A subset P fulfills the axioms when every included cover forces its
 point in; Z splits them when every point of Z overlaps each of its
 covers.  The generated saturation is the least fixed point adding points
-whose cover is included (Boolean mode iterates this directly and scales
-to large sparse carriers); the generated reduction is the greatest
+whose cover is included; the generated reduction is the greatest
 splitting subset below the argument, obtained by downward iteration.
-Over a non-Boolean algebra both are evaluated by their quantified
-characterizations over the enumerated subset space.
+
+Boolean mode iterates both directly, in one worklist (_boolean_fixpoint)
+that never enumerates the subset space, so it scales to large sparse
+carriers.  Over a non-Boolean algebra both are the weighted-family
+formulas of galois over the enumerated subset space:
+galois.weighted_saturation weighted by fulfills_degree and
+galois.weighted_reduction weighted by splits_axioms_degree.
 
 Covers optionally carry a weight (an algebra element, top by default);
 weights only matter for the axiom-sets extracted from a saturation in
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from . import hset
 from .errors import ContextMismatch
-from .galois import Saturation, Reduction, weighted_reduction
+from .galois import Saturation, Reduction, weighted_reduction, weighted_saturation
 from .hset import HSubset
 
 
@@ -86,17 +90,6 @@ def splits_axioms_degree(z, ax):
     return acc
 
 
-def _boolean_axioms(ax):
-    """Covers as point-index sets; weights below top drop out in Boolean mode."""
-    top = ax.algebra.top
-    out = []
-    for point, cover, weight in ax.axioms:
-        if weight != top:
-            continue
-        out.append((point, frozenset(i for i, d in enumerate(cover.degrees) if d == top)))
-    return out
-
-
 def generate_sat(ax, cap=None, name=None):
     """The saturation A_{I,C} generated inductively by the axiom-set.
 
@@ -104,58 +97,14 @@ def generate_sat(ax, cap=None, name=None):
     the result provably equals the meet over fulfilling supersets).
     Otherwise:  A U (a) = meet over P of (incl(U,P) /\\ fulfills(P)) -> P(a).
     """
-    alg = ax.algebra
-    carrier = ax.carrier
     if name is None:
         name = "A_gen"
-
-    if alg.is_boolean:
-        axioms = _boolean_axioms(ax)
-        top, bot = alg.top, alg.bot
-
-        def fn(u):
-            cur = {i for i, d in enumerate(u.degrees) if d == top}
-            changed = True
-            while changed:
-                changed = False
-                for point, cover in axioms:
-                    if point not in cur and cover <= cur:
-                        cur.add(point)
-                        changed = True
-            return HSubset(alg, carrier, (top if i in cur else bot for i in range(len(carrier))))
-
-        within = hset.space_size(alg, carrier) <= (
-            hset.DEFAULT_SUBSET_CAP if cap is None else cap
-        )
-        return Saturation(alg, carrier, fn, name=name, cap=cap, trusted=not within)
-
-    sp = hset.space(alg, carrier, cap)
-    subs = sp.subs
+    if ax.algebra.is_boolean:
+        return _boolean_fixpoint(ax, Saturation, cap, name)
+    sp = hset.space(ax.algebra, ax.carrier, cap)
     if ax._fulfills is None:
-        ax._fulfills = tuple(fulfills_degree(p, ax) for p in subs)
-    fulfills = ax._fulfills
-    mt, it = alg.meet_table, alg.imp_table
-
-    def fn(u):
-        weighted = []
-        incs = sp.inc_row(hset.subset_rank(u))
-        for p, f, inc in zip(subs, fulfills, incs):
-            if f == alg.bot:
-                continue
-            w = mt[inc][f]
-            if w != alg.bot:
-                weighted.append((w, p.degrees))
-        degs = []
-        for a in range(len(carrier)):
-            acc = alg.top
-            for w, pd in weighted:
-                acc = mt[acc][it[w][pd[a]]]
-                if acc == alg.bot:
-                    break
-            degs.append(acc)
-        return HSubset(alg, carrier, degs)
-
-    return Saturation(alg, carrier, fn, name=name, cap=cap)
+        ax._fulfills = tuple(fulfills_degree(p, ax) for p in sp.subs)
+    return weighted_saturation(sp, ax._fulfills, cap=cap, name=name)
 
 
 def generate_red(ax, cap=None, name=None):
@@ -166,35 +115,54 @@ def generate_red(ax, cap=None, name=None):
     splitting subsets below V).  Otherwise:
     J V (a) = join over Z of incl(Z,V) /\\ splits(Z) /\\ Z(a).
     """
-    alg = ax.algebra
-    carrier = ax.carrier
     if name is None:
         name = "J_gen"
-
-    if alg.is_boolean:
-        axioms = _boolean_axioms(ax)
-        top, bot = alg.top, alg.bot
-
-        def fn(u):
-            cur = {i for i, d in enumerate(u.degrees) if d == top}
-            changed = True
-            while changed:
-                changed = False
-                for point, cover in axioms:
-                    if point in cur and not (cover & cur):
-                        cur.discard(point)
-                        changed = True
-            return HSubset(alg, carrier, (top if i in cur else bot for i in range(len(carrier))))
-
-        within = hset.space_size(alg, carrier) <= (
-            hset.DEFAULT_SUBSET_CAP if cap is None else cap
-        )
-        return Reduction(alg, carrier, fn, name=name, cap=cap, trusted=not within)
-
-    sp = hset.space(alg, carrier, cap)
+    if ax.algebra.is_boolean:
+        return _boolean_fixpoint(ax, Reduction, cap, name)
+    sp = hset.space(ax.algebra, ax.carrier, cap)
     if ax._splits is None:
         ax._splits = tuple(splits_axioms_degree(z, ax) for z in sp.subs)
     return weighted_reduction(sp, ax._splits, cap=cap, name=name)
+
+
+def _boolean_fixpoint(ax, kind, cap, name):
+    """Boolean generation by worklist, for kind Saturation or Reduction.
+
+    The saturation adds each point one of whose covers lies inside the
+    current set, until no cover adds one.  The reduction deletes each point
+    one of whose covers misses the current set; a cover misses the set
+    exactly when it lies inside the complement, so the reduction is the
+    same growth run on the complement of its argument, complemented back.
+    Covers weighted below top drop out.  Above the cap the result is
+    trusted by construction, since classify cannot enumerate the space.
+    """
+    alg = ax.algebra
+    carrier = ax.carrier
+    top, bot = alg.top, alg.bot
+    axioms = [
+        (point, frozenset(i for i, d in enumerate(cover.degrees) if d == top))
+        for point, cover, weight in ax.axioms
+        if weight == top
+    ]
+    grow = kind is Saturation  # else grow the complement
+
+    def fn(u):
+        cur = {i for i, d in enumerate(u.degrees) if (d == top) == grow}
+        changed = True
+        while changed:
+            changed = False
+            for point, cover in axioms:
+                if point not in cur and cover <= cur:
+                    cur.add(point)
+                    changed = True
+        return HSubset(
+            alg, carrier, (top if (i in cur) == grow else bot for i in range(len(carrier)))
+        )
+
+    within = hset.space_size(alg, carrier) <= (
+        hset.DEFAULT_SUBSET_CAP if cap is None else cap
+    )
+    return kind(alg, carrier, fn, name=name, cap=cap, trusted=not within)
 
 
 def axioms_from_saturation(sat, cap=None):

@@ -137,6 +137,21 @@ def _same_context(u, v):
         raise ContextMismatch("values live over different algebras or carriers")
 
 
+def family_context(members, algebra=None, carrier=None):
+    """The (algebra, carrier) of a family of subsets, operators or
+    topologies: the first member's, else the given ones.  ContextMismatch
+    when members differ, ValueError for an empty family without a context.
+    """
+    if members:
+        algebra, carrier = members[0].algebra, members[0].carrier
+        for m in members:
+            if m.algebra is not algebra or m.carrier is not carrier:
+                raise ContextMismatch("family members live over different contexts")
+    if algebra is None or carrier is None:
+        raise ValueError("an empty family needs algebra and carrier")
+    return algebra, carrier
+
+
 def empty(algebra, carrier):
     return HSubset(algebra, carrier, (algebra.bot,) * len(carrier))
 

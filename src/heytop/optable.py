@@ -2,9 +2,10 @@
 
 An Operator is a total map from HSubsets to HSubsets over a fixed
 (algebra, carrier) context.  Bodies are either rules (closures) or
-explicit tables; applications are memoized, and whole operators are
-tabulated eagerly whenever the subset space is within the cap, which
-makes extensional equality and the quantified degree computations cheap.
+explicit tables.  Whole operators are tabulated eagerly, as a table of
+output ranks, whenever the subset space is within the cap, which makes
+application, extensional equality and the quantified degree computations
+cheap; above it every application runs the body.
 
 The compatibility degree of O with O' is the meet over all subset pairs
 (U, V) of  overlap(O U, O' V) -> overlap(U, O' V);  in Boolean mode this
@@ -44,12 +45,12 @@ from .hset import HSubset, enumerate_all, space_size
 class Operator:
     """A total, deterministic map on the subsets of a carrier.
 
-    Behaviour is immutable (the display name is assignable metadata); the
-    memo cache only ever stores values a re-run of the body would
-    reproduce, so concurrent reads and duplicate fills are harmless.
+    Behaviour is immutable (the display name is assignable metadata).  A
+    tabulated operator answers from its rank table alone; a table filled
+    twice by concurrent readers holds the same ranks either way.
     """
 
-    __slots__ = ("algebra", "carrier", "name", "_fn", "_memo", "_ranks")
+    __slots__ = ("algebra", "carrier", "name", "_fn", "_ranks")
 
     #: spaces at most this large are tabulated eagerly at construction
     TABULATE_LIMIT = hset.DEFAULT_SUBSET_CAP
@@ -59,7 +60,6 @@ class Operator:
         self.carrier = carrier
         self.name = name
         self._fn = fn
-        self._memo = {}
         self._ranks = None
         if space_size(algebra, carrier) <= self.TABULATE_LIMIT:
             self.rank_table()
@@ -76,17 +76,14 @@ class Operator:
         return self._run(u)
 
     def _run(self, u):
-        """Memoized body call; rejects a value from another context."""
-        got = self._memo.get(u.degrees)
-        if got is None:
-            got = self._fn(u)
-            if (
-                not isinstance(got, HSubset)
-                or got.carrier is not self.carrier
-                or got.algebra is not self.algebra
-            ):
-                raise ContextMismatch("operator body produced a foreign value")
-            self._memo[u.degrees] = got
+        """Body call; rejects a value from another context."""
+        got = self._fn(u)
+        if (
+            not isinstance(got, HSubset)
+            or got.carrier is not self.carrier
+            or got.algebra is not self.algebra
+        ):
+            raise ContextMismatch("operator body produced a foreign value")
         return got
 
     def rank_table(self, cap=None):
@@ -120,7 +117,6 @@ def _from_ranks(algebra, carrier, ranks, name=None):
     op.carrier = carrier
     op.name = name
     op._fn = lambda u: subs[ranks[hset.subset_rank(u)]]
-    op._memo = {}
     op._ranks = tuple(ranks)
     return op
 
@@ -177,22 +173,10 @@ def compose(outer, inner, name=None):
     )
 
 
-def _resolve_context(ops, algebra, carrier):
-    if ops:
-        first = ops[0]
-        algebra, carrier = first.algebra, first.carrier
-        for o in ops[1:]:
-            if o.algebra is not algebra or o.carrier is not carrier:
-                raise ContextMismatch("operators live over different contexts")
-    if algebra is None or carrier is None:
-        raise ValueError("an empty operator family needs algebra and carrier")
-    return algebra, carrier
-
-
 def pointwise_join(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise union of operator results; the empty join is the bot operator."""
     ops = list(ops)
-    algebra, carrier = _resolve_context(ops, algebra, carrier)
+    algebra, carrier = hset.family_context(ops, algebra, carrier)
     if not ops:
         return bottom_op(algebra, carrier)
     jt = algebra.join_table
@@ -212,7 +196,7 @@ def pointwise_join(ops, *, algebra=None, carrier=None, name=None):
 def pointwise_meet(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise intersection; the empty meet is the top operator."""
     ops = list(ops)
-    algebra, carrier = _resolve_context(ops, algebra, carrier)
+    algebra, carrier = hset.family_context(ops, algebra, carrier)
     if not ops:
         return top_op(algebra, carrier)
     mt = algebra.meet_table

@@ -3,9 +3,7 @@
 A LawReport records the outcome of one quantified law check: the law id,
 a status, the exact degree when one was computed (as an algebra element
 name, never a numeral), the witness achieving the minimal degree when the
-law fails, and free-form details.  ``elapsed`` is always 0.0 until a
-stats context sets it, and no code in the package sets it yet.  It is left
-out of the rendered text so that reports are byte-identical across runs.
+law fails, and free-form details.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ class LawReport:
     degree: str | None = None
     witness: tuple | None = None
     details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def ok(self):

@@ -1,5 +1,6 @@
-"""A deliberately naive evaluator of the quantified kernels in optable and
-of galois.JJ.
+"""A deliberately naive evaluator of the quantified kernels in optable, of
+galois.JJ and the family operators A_P and J_P, and of the operators an
+axiom-set generates (gen.generate_sat, gen.generate_red).
 
 Subsets are degree tuples in the documented enumeration order
 (itertools.product over element indices), operators are rank tables, and
@@ -157,19 +158,103 @@ def RR(alg, npts, table):
     return subs.index(degs)
 
 
-def JJ(alg, npts, table):
-    """Rank table of JJ(O): V(a) = join over Z of incl(Z, V) /\\ splits(Z) /\\ Z(a)."""
+def _weighted_red(alg, npts, weights):
+    """Rank table of V(a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a)."""
     subs = subsets(alg, npts)
-    split = _splits(alg, npts, table)
     mt = alg.meet_table
     out = []
     for v in subs:
         degs = tuple(
-            _join(alg, (mt[mt[_incl(alg, z, v)][s]][z[a]] for z, s in zip(subs, split)))
+            _join(alg, (mt[mt[_incl(alg, z, v)][w]][z[a]] for z, w in zip(subs, weights)))
             for a in range(npts)
         )
         out.append(subs.index(degs))
     return out
+
+
+def _weighted_sat(alg, npts, weights):
+    """Rank table of U(a) = meet over P of (incl(U, P) /\\ w(P)) -> P(a)."""
+    subs = subsets(alg, npts)
+    mt, imp = alg.meet_table, alg.imp_table
+    out = []
+    for u in subs:
+        degs = tuple(
+            _meet(alg, (imp[mt[_incl(alg, u, p)][w]][p[a]] for p, w in zip(subs, weights)))
+            for a in range(npts)
+        )
+        out.append(subs.index(degs))
+    return out
+
+
+def JJ(alg, npts, table):
+    """Rank table of JJ(O): V(a) = join over Z of incl(Z, V) /\\ splits(Z) /\\ Z(a)."""
+    return _weighted_red(alg, npts, _splits(alg, npts, table))
+
+
+def A_P(alg, npts, family):
+    """Rank table of A_P: U(a) = meet over V in P of incl(U, V) -> V(a).
+    The family is a list of ranks, repeats allowed."""
+    subs = subsets(alg, npts)
+    imp = alg.imp_table
+    members = [subs[v] for v in family]
+    return [
+        subs.index(tuple(
+            _meet(alg, (imp[_incl(alg, u, v)][v[a]] for v in members))
+            for a in range(npts)
+        ))
+        for u in subs
+    ]
+
+
+def J_P(alg, npts, family):
+    """Rank table of J_P: U(a) = join over V in P of incl(V, U) /\\ V(a)."""
+    subs = subsets(alg, npts)
+    mt = alg.meet_table
+    members = [subs[v] for v in family]
+    return [
+        subs.index(tuple(
+            _join(alg, (mt[_incl(alg, v, u)][v[a]] for v in members))
+            for a in range(npts)
+        ))
+        for u in subs
+    ]
+
+
+# An axiom-set is a list of covers (point index, cover rank, weight).
+
+
+def fulfills(alg, npts, axioms, p):
+    """Meet over covers of (weight /\\ incl(C, P)) -> P(a), P a rank."""
+    subs = subsets(alg, npts)
+    mt, imp = alg.meet_table, alg.imp_table
+    return _meet(
+        alg,
+        (imp[mt[w][_incl(alg, subs[c], subs[p])]][subs[p][a]] for a, c, w in axioms),
+    )
+
+
+def splits_axioms(alg, npts, axioms, z):
+    """Meet over covers of (weight /\\ Z(a)) -> overlap(C, Z), Z a rank."""
+    subs = subsets(alg, npts)
+    mt, imp = alg.meet_table, alg.imp_table
+    return _meet(
+        alg,
+        (imp[mt[w][subs[z][a]]][_overlap(alg, subs[c], subs[z])] for a, c, w in axioms),
+    )
+
+
+def generate_sat(alg, npts, axioms):
+    """Rank table of the saturation weighted by fulfills."""
+    n = len(alg) ** npts
+    return _weighted_sat(alg, npts, [fulfills(alg, npts, axioms, p) for p in range(n)])
+
+
+def generate_red(alg, npts, axioms):
+    """Rank table of the reduction weighted by splits_axioms."""
+    n = len(alg) ** npts
+    return _weighted_red(
+        alg, npts, [splits_axioms(alg, npts, axioms, z) for z in range(n)]
+    )
 
 
 def op_incl_degree(alg, npts, t1, t2):

@@ -3,7 +3,7 @@
 import pytest
 
 from heytop import btop, galois as gl, gen, heyting, hset, optable as ot
-from heytop.errors import CapExceeded
+from heytop.errors import CapExceeded, ContextMismatch
 
 
 def test_chain2_behaves_like_boolean2(bool2):
@@ -111,3 +111,42 @@ def test_const_and_inhabited_h_mode(chain3):
     u = hset.from_degrees(chain3, s, {"a": "u"})
     out = o.apply(u)
     assert out.degree_of("a") == "u" and out.degree_of("b") == "u"
+
+
+def _sat(alg, car):
+    return gl.Saturation.certify(ot.identity_op(alg, car))
+
+
+def _red(alg, car):
+    return gl.Reduction.certify(ot.identity_op(alg, car))
+
+
+def _topology(alg, car):
+    return btop.make(_sat(alg, car), _red(alg, car))
+
+
+# entry point -> member builder; every entry point takes a family of members
+FAMILY_ENTRY_POINTS = {
+    "pointwise_join": (ot.pointwise_join, ot.identity_op),
+    "pointwise_meet": (ot.pointwise_meet, ot.identity_op),
+    "from_family_sat": (gl.from_family_sat, hset.full),
+    "from_family_red": (gl.from_family_red, hset.full),
+    "meet_saturations": (gl.meet_saturations, _sat),
+    "join_saturations": (gl.join_saturations, _sat),
+    "join_reductions": (gl.join_reductions, _red),
+    "meet_reductions": (gl.meet_reductions, _red),
+    "join_family": (btop.join_family, _topology),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FAMILY_ENTRY_POINTS))
+def test_family_context_rule(bool2, entry):
+    build, member = FAMILY_ENTRY_POINTS[entry]
+    one, two = hset.Carrier(["a"]), hset.Carrier(["a"])
+    with pytest.raises(ValueError):
+        build([])
+    with pytest.raises(ContextMismatch):
+        build([member(bool2, one), member(bool2, two)])
+    # an empty family takes the given context, any other its members'
+    assert build([], algebra=bool2, carrier=one).carrier is one
+    assert build([member(bool2, one)], algebra=bool2, carrier=two).carrier is one

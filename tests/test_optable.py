@@ -48,6 +48,16 @@ def test_tabulation_rejects_foreign_values(bool2, chain3, ab, literal):
         ot.Operator(bool2, ab, lambda u: foreign)
 
 
+def test_untabulated_apply_rejects_foreign_values(bool2, chain3):
+    # 2^13 subsets: above TABULATE_LIMIT, so apply runs the body itself
+    big = hset.Carrier([f"p{i}" for i in range(13)])
+    assert hset.space_size(bool2, big) > ot.Operator.TABULATE_LIMIT
+    foreign = hset.from_degrees(chain3, big, {"p0": "u"})
+    op = ot.Operator(bool2, big, lambda u: foreign)
+    with pytest.raises(ContextMismatch):
+        op.apply(hset.empty(bool2, big))
+
+
 def test_quantifiers_over_algebra_with_wide_element_indices():
     # A 300-element chain listed top first: bottom has index 299, too wide
     # for a byte, so the space's overlap and incl rows are tuples

@@ -1,4 +1,5 @@
-"""Differential test: the quantified kernels against the naive reference.
+"""Differential test: the quantified kernels, the family operators and the
+generated operators against the naive reference.
 
 Rank tables are drawn at random (almost never monotone, so the full-scan
 witness search runs) or taken from real saturations and reductions, some
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference as ref
-from heytop import galois, heyting, hset, optable as ot
+from heytop import galois, gen, heyting, hset, optable as ot
 
 
 def _spaces():
@@ -185,3 +186,62 @@ def test_operator_orders_match_reference(name, data):
     assert ot.op_incl_degree(o1, o2) == incl
     assert ot.op_eq_degree(o1, o2) == ref.op_eq_degree(alg, npts, t1, t2)
     assert ot.op_leq(o1, o2) == (incl == alg.top)
+
+
+@space_names
+@settings(max_examples=20)
+@given(data=st.data())
+def test_family_operators_match_reference(name, data):
+    alg, car = SPACES[name]
+    npts = len(car)
+    subs = hset.enumerate_all(alg, car)
+    drawn = data.draw(st.lists(st.integers(0, len(subs) - 1), max_size=4))
+    for family in ([], drawn, drawn * 2):  # the empty family, repeated members
+        members = [subs[r] for r in family]
+        a_p = galois.from_family_sat(members, algebra=alg, carrier=car)
+        j_p = galois.from_family_red(members, algebra=alg, carrier=car)
+        assert list(a_p.rank_table()) == ref.A_P(alg, npts, family)
+        assert list(j_p.rank_table()) == ref.J_P(alg, npts, family)
+
+
+@st.composite
+def axiom_sets(draw, space):
+    """Covers (point index, cover rank, weight), weights below top included."""
+    alg, car = space
+    n = len(hset.enumerate_all(alg, car))
+    weight = st.one_of(st.just(alg.top), st.integers(0, len(alg) - 1))
+    return draw(st.lists(
+        st.tuples(st.integers(0, len(car) - 1), st.integers(0, n - 1), weight),
+        max_size=5,
+    ))
+
+
+def _axiom_set(space, covers):
+    alg, car = space
+    subs = hset.enumerate_all(alg, car)
+    return gen.AxiomSet(alg, car, [(a, subs[c], w) for a, c, w in covers])
+
+
+@space_names
+@settings(max_examples=20)
+@given(data=st.data())
+def test_generated_operators_match_reference(name, data):
+    # Boolean spaces run the worklist, the others the weighted formulas
+    space = SPACES[name]
+    alg, npts = space[0], len(space[1])
+    covers = data.draw(axiom_sets(space))
+    ax = _axiom_set(space, covers)
+    assert list(gen.generate_sat(ax).rank_table()) == ref.generate_sat(alg, npts, covers)
+    assert list(gen.generate_red(ax).rank_table()) == ref.generate_red(alg, npts, covers)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_boolean_worklists_match_weighted_formulas(data):
+    space = SPACES["boolean2x3"]
+    sp = hset.space(*space)
+    ax = _axiom_set(space, data.draw(axiom_sets(space)))
+    fulfills = [gen.fulfills_degree(p, ax) for p in sp.subs]
+    splits = [gen.splits_axioms_degree(z, ax) for z in sp.subs]
+    assert gen.generate_sat(ax) == galois.weighted_saturation(sp, fulfills)
+    assert gen.generate_red(ax) == galois.weighted_reduction(sp, splits)
