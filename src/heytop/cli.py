@@ -78,6 +78,7 @@ from .galois import (
     from_family_red,
     from_family_sat,
     galois_check,
+    profile_of,
 )
 from .heyting import boolean2, build_from_order, chain, downset_algebra
 
@@ -544,7 +545,7 @@ def cmd_validate(ws, args, caps):
 def cmd_classify(ws, args, caps):
     (opname,) = args
     op = _need(ws, "operators", opname)
-    profile = optable.classify(op, caps.subset_cap)
+    profile = profile_of(op, caps.subset_cap)
     lines = [f"classify {opname}:"]
     lines.append(_render_flag("monotone", profile.monotone))
     lines.append(_render_flag("idempotent", profile.idempotent))
@@ -616,13 +617,14 @@ def cmd_galois(ws, args, caps):
 
 def _workspace_stocks(ws, caps):
     sats, reds = [], []
+    cap = caps.subset_cap
     for name in sorted(ws.operators):
         op = ws.operators[name]
-        profile = optable.classify(op, caps.subset_cap)
+        profile = profile_of(op, cap)
         if profile.is_saturation:
-            sats.append(Saturation.certify(op, cap=caps.subset_cap, name=name))
+            sats.append(Saturation.certify(op, cap=cap, name=name, profile=profile))
         if profile.is_reduction:
-            reds.append(Reduction.certify(op, cap=caps.subset_cap, name=name))
+            reds.append(Reduction.certify(op, cap=cap, name=name, profile=profile))
     return sats, reds
 
 

@@ -16,10 +16,37 @@ subset rank:
 
 from_family_sat and from_family_red (A_P and J_P, and through them
 join_saturations and meet_reductions) weigh each member top and every
-other subset bot; JJ(A) weighs Z by splits(Z, A); the non-Boolean
-gen.generate_sat and gen.generate_red weigh by the axiom-set's fulfilling
-and splitting degrees.  AA(J), the greatest saturation compatible with the
-reduction J, is one code path with LL.
+other subset bot; JJ(A) weighs Z by splits(Z, A) (optable.splits_vector);
+the non-Boolean gen.generate_sat and gen.generate_red weigh by the
+axiom-set's fulfilling and splitting degrees.  AA(J), the greatest
+saturation compatible with the reduction J, is one code path with LL.
+
+Neither formula scans pairs (U, P) or (Z, V), and neither do LL and the
+splits vector (optable).  Each is a sweep of the hset.Space over the
+pointwise order, down(seed)[V] = join of seed[W] over W <= V or
+up(seed)[U] = meet of seed[W] over W >= U, and a pass over the ranks.
+With c ranging over the join-irreducible elements, d over the
+meet-irreducible ones:
+
+    1. weighted_reduction   J = down of the seed {c /\\ Z : c <= w(Z)}
+    2. weighted_saturation  A = up of the seed {c -> P : c <= w(P)}
+    3. splits(W, O) = meet over d of (G(W -> d) over W) -> d,
+       where G = down(O U at each U)
+    4. LL(O) U (a) = meet over d of K(U -> d)(a) -> d,
+       where K = down(W at each W in the image of O)
+
+Proofs.  (1) incl(c /\\ Z, V) = c -> incl(Z, V), so c /\\ Z <= V iff
+c <= incl(Z, V): with t = incl(Z, V) /\\ w(Z), the term t /\\ Z of Z at V
+is the join of the seed entries c /\\ Z over the c <= t, and each seed
+entry below V lies below a term.  (2) Dually, incl(U, c -> P) =
+c -> incl(U, P), so U <= c -> P iff c <= incl(U, P), and the term t -> P
+is the meet of the entries c -> P over the c <= t.  (3) x -> y is the
+meet of x -> d over the d >= y, and (U over W) <= d iff U <= W -> d; so
+the U with (U over W) <= d are those below W -> d, and overlap
+distributes over their join.  (4) Likewise, (U over O V) <= d iff
+O V <= U -> d.  All four hold intuitionistically.  In Boolean mode c is
+top and d bot: splits(W) is top iff G(not W) misses W, and
+LL(O) U = not K(not U).
 
 AA and JJ form an antitone Galois connection:
 A included in AA(J), A compatible with J, and J included in JJ(A) all
@@ -30,8 +57,7 @@ from __future__ import annotations
 
 from . import hset, optable
 from .errors import CertificateFailure
-from .hset import HSubset
-from .optable import Operator, classify, LL, splits_degree
+from .optable import Operator, OperatorProfile, classify, LL, splits_vector
 from .reports import LawReport, HOLDS, FAILS
 
 BY_CONSTRUCTION = "by-construction"
@@ -44,15 +70,21 @@ class _Certified(Operator):
 
     REQUIRED = ()
 
-    def __init__(self, algebra, carrier, fn, name=None, *, cap=None, trusted=False):
-        super().__init__(algebra, carrier, fn, name=name)
+    def __init__(
+        self, algebra, carrier, fn, name=None, *,
+        cap=None, trusted=False, ranks=None, profile=None,
+    ):
+        """``ranks`` as for Operator; ``profile`` is classify's verdict on
+        this very rank table, when the caller has it already."""
+        super().__init__(algebra, carrier, fn, name=name, ranks=ranks)
         if trusted:
             self.certificate = BY_CONSTRUCTION
         else:
-            self.certificate = self._check(cap)
+            self.certificate = self._check(cap, profile)
 
-    def _check(self, cap):
-        profile = classify(self, cap)
+    def _check(self, cap, profile):
+        if profile is None:
+            profile = classify(self, cap)
         for flagname in self.REQUIRED:
             flag = getattr(profile, flagname)
             if not flag.holds:
@@ -71,8 +103,13 @@ class _Certified(Operator):
         return all(getattr(profile, f).holds for f in self.REQUIRED)
 
     @classmethod
-    def certify(cls, op, cap=None, *, trusted=False, name=None):
-        """Wrap an existing operator, verifying (or trusting) its profile."""
+    def certify(cls, op, cap=None, *, trusted=False, name=None, profile=None):
+        """Wrap an existing operator, verifying (or trusting) its profile.
+
+        A tabulated operator hands over its rank table, so nothing is
+        applied again; ``profile``, classify's verdict on op, spares the
+        second classify.
+        """
         return cls(
             op.algebra,
             op.carrier,
@@ -80,7 +117,19 @@ class _Certified(Operator):
             name=name or op.name,
             cap=cap,
             trusted=trusted,
+            ranks=op._ranks,
+            profile=profile,
         )
+
+
+def profile_of(op, cap=None):
+    """classify's profile of op: its certificate when that is a verified
+    profile (the certificate holds for op's own rank table), else a fresh
+    classify.  CapExceeded when the space is above the cap either way."""
+    if isinstance(getattr(op, "certificate", None), OperatorProfile):
+        hset.check_cap(op.algebra, op.carrier, cap)
+        return op.certificate
+    return classify(op, cap)
 
 
 class Saturation(_Certified):
@@ -154,10 +203,9 @@ def JJ(sat, cap=None, name=None):
     to be a saturation), which is what the union-to-meet law exploits.
     """
     sp = hset.space(sat.algebra, sat.carrier, cap)
-    split = [splits_degree(z, sat, cap) for z in sp.subs]
     if name is None:
         name = f"JJ({sat.name or '?'})"
-    return weighted_reduction(sp, split, cap=cap, name=name)
+    return weighted_reduction(sp, splits_vector(sat, cap), cap=cap, name=name)
 
 
 def weighted_saturation(space, weights, *, cap=None, name=None):
@@ -165,29 +213,13 @@ def weighted_saturation(space, weights, *, cap=None, name=None):
     given one weight w(P) per rank of P in the hset.Space.
 
     Any weights give a saturation; A_P takes w = top on the family, the
-    generated saturation w(P) = fulfills(P).  Only the P whose weight is
-    not bot are visited, and incl(U, P) is read as single entries: a
-    family of a few members would not pay for whole rows.
+    generated saturation w(P) = fulfills(P).  Computed as one up sweep of
+    the seed {c -> P : c <= w(P)} (see the module docstring).
     """
-    alg = space.algebra
-    carrier = space.carrier
-    mt, it = alg.meet_table, alg.imp_table
-    top, bot = alg.top, alg.bot
-    members = [
-        (p, s, space.subs[p].degrees) for p, s in enumerate(weights) if s != bot
-    ]
-    ranks = []
-    for u in range(len(space.subs)):
-        degs = [top] * len(carrier)
-        for p, s, pd in members:
-            w = mt[space.incl(u, p)][s]
-            if w == bot:  # bot -> d is top
-                continue
-            for a, d in enumerate(pd):
-                degs[a] = mt[degs[a]][it[w][d]]
-        ranks.append(hset.subset_rank(HSubset(alg, carrier, degs)))
-    op = optable._from_ranks(alg, carrier, ranks)
-    return Saturation.certify(op, cap=cap, name=name)
+    ranks = space.ranks(space.up(space.saturation_seed(weights)))
+    return Saturation(
+        space.algebra, space.carrier, None, name=name, cap=cap, ranks=ranks
+    )
 
 
 def weighted_reduction(space, weights, *, cap=None, name=None):
@@ -196,26 +228,13 @@ def weighted_reduction(space, weights, *, cap=None, name=None):
 
     Any weights give a reduction; J_P takes w = top on the family, JJ(A)
     w(Z) = splits(Z, A), the generated reduction the axiom-set's splitting
-    degree.  Only the Z whose weight is not bot are visited, each reading
-    incl(Z, .) from the space's rows.
+    degree.  Computed as one down sweep of the seed {c /\\ Z : c <= w(Z)}
+    (see the module docstring).
     """
-    alg = space.algebra
-    carrier = space.carrier
-    mt, jt = alg.meet_table, alg.join_table
-    bot = alg.bot
-    acc = [[bot] * len(carrier) for _ in space.subs]
-    for zr, (z, s) in enumerate(zip(space.subs, weights)):
-        if s == bot:
-            continue
-        for degs, inc in zip(acc, space.inc_row(zr)):
-            w = mt[inc][s]
-            if w == bot:
-                continue
-            for a, d in enumerate(z.degrees):
-                degs[a] = jt[degs[a]][mt[w][d]]
-    ranks = [hset.subset_rank(HSubset(alg, carrier, degs)) for degs in acc]
-    op = optable._from_ranks(alg, carrier, ranks)
-    return Reduction.certify(op, cap=cap, name=name)
+    ranks = space.ranks(space.down(space.reduction_seed(weights)))
+    return Reduction(
+        space.algebra, space.carrier, None, name=name, cap=cap, ranks=ranks
+    )
 
 
 def meet_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
@@ -247,8 +266,7 @@ def join_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
     """
     sats = list(sats)
     algebra, carrier = hset.family_context(sats, algebra, carrier)
-    subs = hset.enumerate_all(algebra, carrier, cap)
-    fam = [u for u in subs if all(a.apply(u) == u for a in sats)]
+    fam = _common_fixed_points(sats, algebra, carrier, cap)
     return from_family_sat(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)
 
 
@@ -261,9 +279,15 @@ def meet_reductions(reds, *, algebra=None, carrier=None, cap=None, name=None):
     """
     reds = list(reds)
     algebra, carrier = hset.family_context(reds, algebra, carrier)
-    subs = hset.enumerate_all(algebra, carrier, cap)
-    fam = [u for u in subs if all(j.apply(u) == u for j in reds)]
+    fam = _common_fixed_points(reds, algebra, carrier, cap)
     return from_family_red(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)
+
+
+def _common_fixed_points(ops, algebra, carrier, cap):
+    """The subsets every operator fixes, read from the rank tables."""
+    subs = hset.enumerate_all(algebra, carrier, cap)
+    tables = [o.rank_table(cap) for o in ops]
+    return [u for r, u in enumerate(subs) if all(t[r] == r for t in tables)]
 
 
 def galois_check(sat, red, cap=None):

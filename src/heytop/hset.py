@@ -13,6 +13,7 @@ and report output stay stable.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import CapExceeded, ContextMismatch
 
@@ -230,161 +231,209 @@ def check_cap(algebra, carrier, cap=None):
 
 
 class Space:
-    """All subsets of one (algebra, carrier), with memoized overlap/incl rows.
+    """All subsets of one (algebra, carrier), Birkhoff-encoded, with the two
+    sweeps over their pointwise order.
 
     ``subs`` lists the subsets in enumeration order; a subset is addressed
-    by its rank.  The rows come from a Birkhoff encoding.  A finite Heyting
-    algebra is distributive, so each element x is determined by the set
-    D(x) of join-irreducibles j_k below it, and meet and join are
-    intersection and union of these sets.  A subset U is stored as its
-    planes: U_k is the bitmask of the points a with j_k <= U(a), point a
-    at bit |S|-1-a.  Then
+    by its rank.  A finite Heyting algebra is distributive, so each element
+    x is determined by the set D(x) of join-irreducibles j_k below it, and
+    meet and join are intersection and union of these sets.  A subset U is
+    stored as one int, ``planes[rank]``: its plane U_k, the bitmask of the
+    points a with j_k <= U(a) (point a at bit |S|-1-a), sits at bits
+    k|S| to (k+1)|S|-1.  Pointwise meet and join are then & and |, U <= V
+    is ``not U & ~V``, the empty subset is 0 and the full one ``full``, and
 
-        D(overlap(U, V)) = {k : U_k & V_k != 0}
-        D(incl(U, V))    = the k above no k' with U_k' & ~V_k' != 0
+        D(overlap(U, V)) = {k : plane k of U & V is not 0}
+        D(incl(U, V))    = the k above no k' whose plane of U & ~V is not 0
 
-    A Boolean algebra has one join-irreducible, top, and its single plane
-    is the subset's rank (XOR-ed with the full mask when top is index 0).
+    A Boolean algebra has one join-irreducible, top, so a subset's planes
+    are its rank (XOR-ed with the full mask when top is index 0).
 
-    ``ov_row(j)[i] = overlap(subs[i], subs[j])`` and
-    ``inc_row(i)[j] = incl(subs[i], subs[j])`` are filled on first read
+    The sweeps are zeta transforms over the pointwise order, on planes:
+
+        down(seed)[V] = join of seed[W] over W <= V
+        up(seed)[U]   = meet of seed[W] over W >= U
+
+    The order is the product of |S| copies of the algebra's order, so a
+    sweep makes one pass per point: each entry whose degree there is x
+    takes in the entry one cover step away (x lowered, resp. raised, to a
+    cover c, the rank moved by (c - x) * |H|^(|S|-1-a)), x visited in a
+    linear extension of the algebra's order, so that every entry it takes
+    in is final.  A pass costs |H|^|S| / |H| steps per cover of the algebra;
+    only the algebra's cover lists are kept, no per-rank neighbour lists.
+    The weighted saturation and reduction (galois, from
+    ``saturation_seed``/``reduction_seed``), LL and the splits vector
+    (optable) are sweeps, so no kernel reads a row of incl.
+
+    ``ov_row(j)[i] = overlap(subs[i], subs[j])`` is filled on first read
     and kept, since a law suite reads the same rows many times; a row is
     bytes when the algebra has at most 256 elements, a tuple otherwise.
-    Only the rows some kernel reads are ever built, not the n x n tables.
-    ``overlap(i, j)`` and ``incl(i, j)`` read a single entry, from a kept
-    row or else from the planes, for scans that read each pair about once
-    or stop early, where filling a row of n entries would cost more.
+    Only the compat kernels read these rows.  ``incl(i, j)`` reads a
+    single entry from the planes, for the operator orders.
 
-    ``space`` keeps the Space in a slot on its carrier, so the enumeration
-    and the rows live exactly as long as the carrier (the document) does.
+    ``space`` keeps the Space in a slot on its carrier, so the enumeration,
+    the planes and the rows live exactly as long as the carrier (the
+    document) does.
     """
 
     __slots__ = (
-        "algebra", "carrier", "subs", "_planes", "_ov", "_inc",
-        "_bits", "_elem_of", "_up", "_incl_of",
+        "algebra", "carrier", "subs", "planes", "full",
+        "lower_covers", "upper_covers", "join_irreducibles", "meet_irreducibles",
+        "_order", "_fields", "_elem_of", "_up", "_incl_of", "_ov",
     )
 
     def __init__(self, algebra, carrier):
         self.algebra = algebra
         self.carrier = carrier
+        h = len(algebra)
+        npts = len(carrier)
         self.subs = tuple(
             HSubset(algebra, carrier, degs)
-            for degs in itertools.product(range(len(algebra)), repeat=len(carrier))
+            for degs in itertools.product(range(h), repeat=npts)
         )
-        self._planes = None
         self._ov = [None] * len(self.subs)
-        self._inc = [None] * len(self.subs)
 
-    def _get_planes(self):
-        if self._planes is None:
-            self._encode()
-        return self._planes
+        lt = algebra.leq_table
+        below = [[y for y in range(h) if y != x and lt[y][x]] for x in range(h)]
+        self.lower_covers = [
+            [y for y in ys if not any(m != y and lt[y][m] for m in ys)] for ys in below
+        ]
+        self.upper_covers = [
+            [x for x in range(h) if y in self.lower_covers[x]] for y in range(h)
+        ]
+        self._order = sorted(range(h), key=lambda x: len(below[x]))
+        jis = self.join_irreducibles = [
+            x for x in range(h) if len(self.lower_covers[x]) == 1
+        ]
+        self.meet_irreducibles = [x for x in range(h) if len(self.upper_covers[x]) == 1]
 
-    def _encode(self):
-        """Build the planes and the maps from join-irreducible masks to elements."""
-        alg = self.algebra
-        lt = alg.leq_table
-        h = len(alg)
-        if h == 2:
-            flip = (1 << len(self.carrier)) - 1 if alg.top == 0 else 0
-            self._planes = [r ^ flip for r in range(len(self.subs))]
-            return
-        jis = [
-            x for x in range(h)
-            if x != alg.bot
-            and alg.big_join(y for y in range(h) if y != x and lt[y][x]) != x
-        ]
-        down = [[int(lt[j][x]) for j in jis] for x in range(h)]
-        self._bits = [1 << k for k in range(len(jis))]
-        self._elem_of = {
-            sum(b for b, d in zip(self._bits, ds) if d): x for x, ds in enumerate(down)
-        }
-        self._up = [
-            sum(b for b, j2 in zip(self._bits, jis) if lt[j][j2]) for j in jis
-        ]
+        ones = (1 << npts) - 1
+        self._fields = [(1 << k, ones << (k * npts)) for k in range(len(jis))]
+        self.full = (1 << (len(jis) * npts)) - 1
+        down = [sum(1 << k for k, j in enumerate(jis) if lt[j][x]) for x in range(h)]
+        self._elem_of = {d: x for x, d in enumerate(down)}
+        self._up = [sum(1 << k for k, j2 in enumerate(jis) if lt[j][j2]) for j in jis]
         self._incl_of = {}
-        planes = [(0,) * len(jis)]
-        for _ in range(len(self.carrier)):
-            planes = [
-                tuple((p << 1) | d for p, d in zip(ps, down[x]))
-                for ps in planes
-                for x in range(h)
-            ]
-        self._planes = planes
+        spread = [
+            sum(1 << (k * npts) for k in range(len(jis)) if d >> k & 1) for d in down
+        ]
+        planes = [0]
+        for _ in range(npts):
+            planes = [(p << 1) | s for p in planes for s in spread]
+        self.planes = planes
 
-    # The non-Boolean entries, from the planes of two subsets.
+    def _mask(self, x):
+        """The join-irreducibles whose plane of x is not 0, as a bitmask."""
+        return sum(b for b, field in self._fields if x & field)
 
-    def _overlap_planes(self, u, v):
-        return self._elem_of[sum(b for b, x, y in zip(self._bits, u, v) if x & y)]
+    def support(self, x):
+        """The join of the degrees of the subset with planes x: the degree
+        to which it is inhabited."""
+        return self._elem_of[self._mask(x)]
 
-    def _incl_planes(self, u, v):
-        bad = sum(b for b, x, y in zip(self._bits, u, v) if x & ~y)
+    def _incl(self, x):
+        """incl(U, V), from the planes x of U & ~V."""
+        bad = self._mask(x)
         got = self._incl_of.get(bad)
         if got is None:
             # the join-irreducibles above no bad one
             above = 0
-            for b, up in zip(self._bits, self._up):
-                if bad & b:
+            for k, up in enumerate(self._up):
+                if bad >> k & 1:
                     above |= up
             got = self._incl_of[bad] = self._elem_of[
-                ((1 << len(self._bits)) - 1) ^ above
+                ((1 << len(self._up)) - 1) ^ above
             ]
         return got
 
-    def overlap(self, i, j):
-        """overlap(subs[i], subs[j]): one entry, without filling a row."""
-        row = self._ov[j]
-        if row is not None:
-            return row[i]
-        planes = self._get_planes()
-        alg = self.algebra
-        if len(alg) == 2:
-            return alg.top if planes[i] & planes[j] else alg.bot
-        return self._overlap_planes(planes[i], planes[j])
-
     def incl(self, i, j):
-        """incl(subs[i], subs[j]): one entry, without filling a row."""
-        row = self._inc[i]
-        if row is not None:
-            return row[j]
-        planes = self._get_planes()
-        alg = self.algebra
-        if len(alg) == 2:
-            return alg.bot if planes[i] & ~planes[j] else alg.top
-        return self._incl_planes(planes[i], planes[j])
+        """incl(subs[i], subs[j]): one entry."""
+        return self._incl(self.planes[i] & ~self.planes[j])
 
     def ov_row(self, j):
         """overlap(subs[i], subs[j]) for every rank i."""
         row = self._ov[j]
         if row is None:
-            planes = self._get_planes()
-            v = planes[j]
+            v = self.planes[j]
             alg = self.algebra
             if len(alg) == 2:
                 top, bot = alg.top, alg.bot
-                vals = [top if u & v else bot for u in planes]
+                vals = [top if u & v else bot for u in self.planes]
             else:
-                vals = [self._overlap_planes(u, v) for u in planes]
-            row = self._ov[j] = self._row(vals)
+                vals = [self.support(u & v) for u in self.planes]
+            row = self._ov[j] = (
+                bytes(vals) if len(alg) <= 256 else tuple(vals)
+            )
         return row
 
-    def inc_row(self, i):
-        """incl(subs[i], subs[j]) for every rank j."""
-        row = self._inc[i]
-        if row is None:
-            planes = self._get_planes()
-            u = planes[i]
-            alg = self.algebra
-            if len(alg) == 2:
-                top, bot = alg.top, alg.bot
-                vals = [bot if u & ~v else top for v in planes]
-            else:
-                vals = [self._incl_planes(u, v) for v in planes]
-            row = self._inc[i] = self._row(vals)
-        return row
+    def ranks(self, vals):
+        """The rank of each subset in vals, given by its planes."""
+        rank_of = dict(zip(self.planes, range(len(self.planes))))
+        return list(map(rank_of.__getitem__, vals))
 
-    def _row(self, values):
-        return bytes(values) if len(self.algebra) <= 256 else tuple(values)
+    def pointwise(self, f):
+        """For every rank of U, the rank of the subset a -> f[U(a)]; f holds
+        one element index per element index."""
+        h = len(f)
+        ranks = [0]
+        for _ in self.carrier.points:
+            ranks = [r * h + y for r in ranks for y in f]
+        return ranks
+
+    def reduction_seed(self, weights):
+        """The seed of the weighted reduction: planes of c /\\ Z at the rank
+        of c /\\ Z for each join-irreducible c <= weights[Z], 0 elsewhere."""
+        return self._seed(weights, 0, self.algebra.meet_table)
+
+    def saturation_seed(self, weights):
+        """The seed of the weighted saturation: planes of c -> P at the rank
+        of c -> P for each join-irreducible c <= weights[P], full elsewhere."""
+        return self._seed(weights, self.full, self.algebra.imp_table)
+
+    def _seed(self, weights, fill, table):
+        """fill, but at the rank of each subset a -> table[c][U(a)] with c
+        join-irreducible and c <= weights[U], that subset's planes."""
+        lt = self.algebra.leq_table
+        planes = self.planes
+        seed = [fill] * len(planes)
+        for c in self.join_irreducibles:
+            for r, w in zip(self.pointwise(table[c]), weights):
+                if lt[c][w]:
+                    seed[r] = planes[r]
+        return seed
+
+    def down(self, seed):
+        """down(seed)[V] = join of seed[W] over W <= V, as planes."""
+        return self._sweep(seed, operator.or_, self.lower_covers, self._order)
+
+    def up(self, seed):
+        """up(seed)[U] = meet of seed[W] over W >= U, as planes."""
+        return self._sweep(seed, operator.and_, self.upper_covers, self._order[::-1])
+
+    def _sweep(self, seed, op, covers, order):
+        """One pass per point a: every entry whose degree at a is x takes in,
+        by op, the entry whose degree there is c, for each cover c of x."""
+        vals = list(seed)
+        n = len(vals)
+        h = len(self.algebra)
+        step = n
+        for _ in self.carrier.points:
+            # step = |H|^(|S|-1-a); the degree at a repeats every block ranks
+            block, step = step, step // h
+            for x in order:
+                for c in covers[x]:
+                    lo, src = x * step, c * step
+                    if step * block >= n:  # few runs of step entries
+                        for base in range(0, n, block):
+                            i, j = base + lo, base + src
+                            vals[i:i + step] = map(
+                                op, vals[i:i + step], vals[j:j + step]
+                            )
+                    else:  # many short runs: every block-th entry instead
+                        for off in range(step):
+                            i, j = lo + off, src + off
+                            vals[i::block] = map(op, vals[i::block], vals[j::block])
+        return vals
 
 
 def space(algebra, carrier, cap=None):

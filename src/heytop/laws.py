@@ -148,17 +148,19 @@ def law_union_to_meet(sats, reds, cap=None):
     """
 
     def gen():
-        for i, j1 in enumerate(reds):
-            for j2 in reds[i:]:
+        aas = [AA(j, cap) for j in reds]
+        for i, (j1, aa1) in enumerate(zip(reds, aas)):
+            for j2, aa2 in zip(reds[i:], aas[i:]):
                 joined = join_reductions([j1, j2], cap=cap)
                 lhs = AA(joined, cap)
-                rhs = pointwise_meet([AA(j1, cap), AA(j2, cap)])
+                rhs = pointwise_meet([aa1, aa2])
                 yield f"AA: ({j1.name or '?'}, {j2.name or '?'})", op_eq(lhs, rhs, cap)
-        for i, a1 in enumerate(sats):
-            for a2 in sats[i:]:
+        jjs = [JJ(a, cap) for a in sats]
+        for i, (a1, jj1) in enumerate(zip(sats, jjs)):
+            for a2, jj2 in zip(sats[i:], jjs[i:]):
                 joined = join_saturations([a1, a2], cap=cap)
                 lhs = JJ(joined, cap)
-                rhs = meet_reductions([JJ(a1, cap), JJ(a2, cap)], cap=cap)
+                rhs = meet_reductions([jj1, jj2], cap=cap)
                 yield f"JJ: ({a1.name or '?'}, {a2.name or '?'})", op_eq(lhs, rhs, cap)
 
     return _aggregate("union-to-meet", gen())

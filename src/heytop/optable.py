@@ -15,26 +15,29 @@ O' alone, each output taken at the first input that produces it.  That is
 exact: meets are idempotent, so a repeated output adds nothing to a
 degree, and its instance degree equals that of its first occurrence,
 which comes earlier in the enumeration, so the first pair reaching the
-lowest instance degree is unchanged.  LL(O) quantifies the same way over
-the image of O.
+lowest instance degree is unchanged.  LL(O) likewise reads only the
+image of O.
 LL(O) and RR(O), the greatest left-/right-compatible operators, are
 computed from their pointwise characterizations rather than by searching
 the (impredicative) lattice of all operators.
 
-The quantified kernels work on subset ranks and read overlap and incl
-from the context's hset.Space.  The compat kernels, LL and the
-non-Boolean splits_degree read whole rows (``ov_row``), computed from
-the space's Birkhoff bit-planes on first read and kept on the space,
-which its carrier holds: repeated calls over one document share rows,
-and a dropped document frees them.  The operator orders and the Boolean
-splits_degree read each pair about once or stop at the first bot, so
-they read single entries (``overlap``, ``incl``) instead of filling rows
-of |H|^|S| entries.  A kernel whose answer is a meet reads each distinct
-pair of degrees once.
+The quantified kernels work on subset ranks and on the Birkhoff
+bit-planes of the context's hset.Space.  The compat kernels read whole
+rows of overlap (``ov_row``), computed on first read and kept on the
+space, which its carrier holds: repeated calls over one document share
+rows, and a dropped document frees them; they read each distinct pair
+of degrees once.  The operator orders read single incl entries.
+classify compares subsets as planes (U <= V is ``not U & ~V``).  LL, RR
+and splits_degree read no rows: each is one sweep of the space
+(``Space.down``) and a pass over the ranks, by the identities stated and
+proved in galois, and no kernel reads a row of incl.  splits_vector gives
+splits(Z, O) for every Z at once; RR and galois.JJ share it.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from . import hset
@@ -55,13 +58,15 @@ class Operator:
     #: spaces at most this large are tabulated eagerly at construction
     TABULATE_LIMIT = hset.DEFAULT_SUBSET_CAP
 
-    def __init__(self, algebra, carrier, fn, name=None):
+    def __init__(self, algebra, carrier, fn, name=None, *, ranks=None):
+        """``ranks``, when given, is the operator's rank table; fn is then
+        never called and may be None."""
         self.algebra = algebra
         self.carrier = carrier
         self.name = name
         self._fn = fn
-        self._ranks = None
-        if space_size(algebra, carrier) <= self.TABULATE_LIMIT:
+        self._ranks = None if ranks is None else tuple(ranks)
+        if self._ranks is None and space_size(algebra, carrier) <= self.TABULATE_LIMIT:
             self.rank_table()
 
     def __repr__(self):
@@ -108,17 +113,6 @@ class Operator:
         ranks = self.rank_table()
         body = ".".join(str(r) for r in ranks[:limit])
         return body + ("..." if len(ranks) > limit else "")
-
-
-def _from_ranks(algebra, carrier, ranks, name=None):
-    subs = enumerate_all(algebra, carrier)
-    op = Operator.__new__(Operator)
-    op.algebra = algebra
-    op.carrier = carrier
-    op.name = name
-    op._fn = lambda u: subs[ranks[hset.subset_rank(u)]]
-    op._ranks = tuple(ranks)
-    return op
 
 
 def identity_op(algebra, carrier):
@@ -269,21 +263,21 @@ class OperatorProfile:
 def classify(op, cap=None):
     """Verify or refute the four profile flags over the whole subset space.
 
-    Monotonicity is verified on the covering pairs of the pointwise order
-    only (V raises one point of U to an upper cover of its degree), which
-    by transitivity is equivalent to checking every pair U <= V.  When a
-    covering pair fails, the full pair scan runs, solely to find the
-    minimal witness.  Witnesses are minimal in the fixed enumeration order:
-    the first failing pair (U, V) for monotonicity, the first failing U
-    otherwise.
+    Subsets are compared as bit-planes.  Monotonicity is verified on the
+    covering pairs of the pointwise order only (V raises one point of U to
+    an upper cover of its degree), which by transitivity is equivalent to
+    checking every pair U <= V.  When a covering pair fails, the full pair
+    scan runs, solely to find the minimal witness.  Witnesses are minimal
+    in the fixed enumeration order: the first failing pair (U, V) for
+    monotonicity, the first failing U otherwise.
     """
-    subs = enumerate_all(op.algebra, op.carrier, cap)
+    sp = hset.space(op.algebra, op.carrier, cap)
+    subs, planes = sp.subs, sp.planes
     ranks = op.rank_table(cap)
-    out = [subs[r] for r in ranks]
 
     monotone = Flag(True)
-    if not _monotone_on_covers(op.algebra, len(op.carrier), subs, ranks):
-        monotone = Flag(False, _first_monotonicity_failure(subs, out))
+    if not _monotone_on_covers(sp, ranks):
+        monotone = Flag(False, _first_monotonicity_failure(sp, ranks))
 
     idempotent = Flag(True)
     for i, u in enumerate(subs):
@@ -292,57 +286,47 @@ def classify(op, cap=None):
             break
 
     expansive = Flag(True)
-    for i, u in enumerate(subs):
-        if not u.leq(out[i]):
-            expansive = Flag(False, u)
+    for i, r in enumerate(ranks):
+        if planes[i] & ~planes[r]:
+            expansive = Flag(False, subs[i])
             break
 
     contractive = Flag(True)
-    for i, u in enumerate(subs):
-        if not out[i].leq(u):
-            contractive = Flag(False, u)
+    for i, r in enumerate(ranks):
+        if planes[r] & ~planes[i]:
+            contractive = Flag(False, subs[i])
             break
 
     return OperatorProfile(monotone, idempotent, expansive, contractive)
 
 
-def _upper_covers(leq_table):
-    """For each element x, the elements c > x with nothing strictly between."""
-    n = len(leq_table)
-    above = [[c for c in range(n) if c != x and leq_table[x][c]] for x in range(n)]
-    return [
-        [c for c in up if not any(m != c and leq_table[m][c] for m in up)]
-        for up in above
-    ]
-
-
-def _monotone_on_covers(algebra, npts, subs, ranks):
+def _monotone_on_covers(sp, ranks):
     """O U <= O V on every covering pair U < V, compared in rank space.
 
     Raising point a from degree x to c moves the rank by (c - x) * h^(npts-1-a).
     """
-    lt = algebra.leq_table
-    h = len(algebra)
-    covers = _upper_covers(lt)
+    h = len(sp.algebra)
+    npts = len(sp.carrier)
+    covers = sp.upper_covers
+    planes = sp.planes
     steps = [h ** (npts - 1 - a) for a in range(npts)]
     for u, ru in enumerate(ranks):
-        ou = subs[ru].degrees
-        for x, step in zip(subs[u].degrees, steps):
+        ou = planes[ru]
+        for x, step in zip(sp.subs[u].degrees, steps):
             for c in covers[x]:
-                rv = ranks[u + (c - x) * step]
-                if rv != ru and not all(
-                    lt[p][q] for p, q in zip(ou, subs[rv].degrees)
-                ):
+                if ou & ~planes[ranks[u + (c - x) * step]]:
                     return False
     return True
 
 
-def _first_monotonicity_failure(subs, out):
+def _first_monotonicity_failure(sp, ranks):
     """The first pair (U, V) in enumeration order with U <= V, O U !<= O V."""
-    for u, ou in zip(subs, out):
-        for v, ov in zip(subs, out):
-            if u.leq(v) and not ou.leq(ov):
-                return (u, v)
+    planes = sp.planes
+    out = [planes[r] for r in ranks]
+    for u, (pu, ou) in enumerate(zip(planes, out)):
+        for v, (pv, ov) in enumerate(zip(planes, out)):
+            if not pu & ~pv and ou & ~ov:
+                return (sp.subs[u], sp.subs[v])
 
 
 # ---------------------------------------------------------------------------
@@ -435,60 +419,61 @@ def splits_degree(z, op, cap=None):
     """
     if z.algebra is not op.algebra or z.carrier is not op.carrier:
         raise ContextMismatch("subset and operator live over different contexts")
+    return splits_vector(op, cap)[hset.subset_rank(z)]
+
+
+def splits_vector(op, cap=None):
+    """splits(Z, O) for every rank of Z, from one sweep:
+    splits(W) = meet over meet-irreducible d of (G(W -> d) over W) -> d,
+    where G V is the join of O U over U <= V.
+    """
     alg = op.algebra
     sp = hset.space(alg, op.carrier, cap)
-    zr = hset.subset_rank(z)
-    t = op.rank_table(cap)
-    if len(alg) != 2:
-        return _meet_over_rows(alg, [sp.ov_row(zr)], t, alg.imp_table)
-    # Boolean: most Z fail within a few U, long before a row would be
-    # filled, so read single overlaps and stop at the first bot instance
-    top, bot = alg.top, alg.bot
-    for u, o in enumerate(t):
-        if sp.overlap(u, zr) == bot and sp.overlap(o, zr) == top:
-            return bot
-    return top
+    planes = sp.planes
+    g = sp.down([planes[r] for r in op.rank_table(cap)])
+    mt, it = alg.meet_table, alg.imp_table
+    support = sp.support
+    split = [alg.top] * len(planes)
+    for d in sp.meet_irreducibles:
+        to_d = sp.pointwise([row[d] for row in it])
+        split = [
+            mt[s][it[support(g[t] & w)][d]] for s, t, w in zip(split, to_d, planes)
+        ]
+    return split
 
 
 def LL(op, cap=None):
     """Greatest left-compatible operator:
-    LL(O) U (a) = meet over V of  O V (a) -> (U over O V).
+    LL(O) U (a) = meet over V of  O V (a) -> (U over O V),
+    computed as the meet over meet-irreducible d of K(U -> d)(a) -> d,
+    where K X is the join of the outputs of O below X.
     """
     alg = op.algebra
     sp = hset.space(alg, op.carrier, cap)
-    image = [(sp.subs[r].degrees, sp.ov_row(r)) for _, r in _image(op.rank_table(cap))]
-    mt, it = alg.meet_table, alg.imp_table
-    top = alg.top
-    ranks = []
-    for u in range(len(sp.subs)):
-        degs = [top] * len(op.carrier)
-        for ov, row in image:
-            x = row[u]
-            if x == top:  # every d -> top is top
-                continue
-            for a, d in enumerate(ov):
-                degs[a] = mt[degs[a]][it[d][x]]
-        ranks.append(hset.subset_rank(HSubset(alg, op.carrier, degs)))
-    return _from_ranks(alg, op.carrier, ranks, name=f"LL({op.name or '?'})")
+    planes = sp.planes
+    seed = [0] * len(planes)
+    for r in set(op.rank_table(cap)):
+        seed[r] = planes[r]
+    k = sp.ranks(sp.down(seed))
+    it = alg.imp_table
+    acc = [sp.full] * len(planes)
+    for d in sp.meet_irreducibles:
+        to_d = sp.pointwise([row[d] for row in it])
+        acc = [x & planes[to_d[k[t]]] for x, t in zip(acc, to_d)]
+    return Operator(
+        alg, op.carrier, None, name=f"LL({op.name or '?'})", ranks=sp.ranks(acc)
+    )
 
 
 def RR(op, cap=None):
     """Greatest right-compatible operator: constant at the largest splitting
-    subset, computed degree-wise as join over Z of splits(Z, O) /\\ Z(a).
+    subset, join over Z of splits(Z, O) /\\ Z(a).  That is the weighted
+    reduction with splits weights (galois.JJ) at the full subset, where
+    incl(Z, full) is top: the join of its whole seed.
     """
-    alg = op.algebra
-    subs = hset.enumerate_all(alg, op.carrier, cap)
-    mt, jt = alg.meet_table, alg.join_table
-    npts = len(op.carrier)
-    degs = [alg.bot] * npts
-    for z in subs:
-        s = splits_degree(z, op, cap)
-        if s == alg.bot:
-            continue
-        for a in range(npts):
-            degs[a] = jt[degs[a]][mt[s][z.degrees[a]]]
-    value = HSubset(alg, op.carrier, degs)
-    return const_op(value, name=f"RR({op.name or '?'})")
+    sp = hset.space(op.algebra, op.carrier, cap)
+    value = functools.reduce(operator.or_, sp.reduction_seed(splits_vector(op, cap)), 0)
+    return const_op(sp.subs[sp.ranks([value])[0]], name=f"RR({op.name or '?'})")
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,32 @@ def test_certificates_re_verify(bool2, ab):
     assert sat.re_verify()
 
 
+def test_certify_takes_the_rank_table(bool2, ab):
+    calls = []
+
+    def body(u):
+        calls.append(u)
+        return u
+
+    op = ot.Operator(bool2, ab, body, name="id")
+    tabulated = len(calls)
+    sat = gl.Saturation.certify(op)
+    assert len(calls) == tabulated  # the body is not run again
+    assert sat.rank_table() == op.rank_table()
+    assert gl.profile_of(sat) is sat.certificate
+    # a profile handed over is the certificate, not classified again
+    red = gl.Reduction.certify(op, profile=sat.certificate)
+    assert red.certificate is sat.certificate
+    assert len(calls) == tabulated
+
+
+def test_certify_with_a_refuting_profile_rejects(bool2, ab):
+    op = ot.bottom_op(bool2, ab)
+    with pytest.raises(CertificateFailure) as exc:
+        gl.Saturation.certify(op, profile=ot.classify(op))
+    assert exc.value.flag == "expansive"
+
+
 def test_from_family_boundaries(bool2, ab):
     subs = hset.enumerate_all(bool2, ab)
     assert ot.op_eq(

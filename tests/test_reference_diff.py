@@ -5,8 +5,9 @@ Rank tables are drawn at random (almost never monotone, so the full-scan
 witness search runs) or taken from real saturations and reductions, some
 with one entry perturbed (then monotone except around that entry).
 The spaces include non-chain algebras whose element indices are not a
-linear extension of their order, a two-element algebra listed top first
-and a one-element algebra.
+linear extension of their order (on two points, and on three, so that
+the sweeps visit degrees out of index order at every point), a
+two-element algebra listed top first and a one-element algebra.
 """
 
 import pytest
@@ -42,6 +43,7 @@ def _spaces():
             two,
         ),
         "custom": (scrambled, two),
+        "custom-3pts": (scrambled, hset.Carrier(["a", "b", "c"])),
         "top-first-boolean": (
             heyting.build_from_order(("1", "0"), [("0", "1")]),
             hset.Carrier(["a", "b", "c"]),
@@ -146,16 +148,60 @@ def test_ll_matches_reference(name, data):
 @space_names
 def test_space_matches_overlap_and_incl(name):
     alg, car = SPACES[name]
-    sp = hset.Space(alg, car)  # fresh, so single entries come from the planes
+    sp = hset.Space(alg, car)
     subs = sp.subs
     ranks = range(len(subs))
     for j, v in enumerate(subs):
         overlaps = [hset.overlap(u, v) for u in subs]
         incls = [hset.incl(v, w) for w in subs]
-        assert [sp.overlap(i, j) for i in ranks] == overlaps
         assert [sp.incl(j, k) for k in ranks] == incls
         assert list(sp.ov_row(j)) == overlaps
-        assert list(sp.inc_row(j)) == incls
+
+
+@space_names
+@settings(max_examples=15)
+@given(data=st.data())
+def test_sweeps_match_their_definition(name, data):
+    # down(seed)[V] joins seed[W] over W <= V, up(seed)[U] meets over W >= U
+    sp = hset.space(*SPACES[name])
+    planes = sp.planes
+    n = len(planes)
+    seed = data.draw(st.lists(st.sampled_from(planes), min_size=n, max_size=n))
+    below = [[w for w in range(n) if not planes[w] & ~planes[v]] for v in range(n)]
+    down, up = [0] * n, [sp.full] * n
+    for v, ws in enumerate(below):
+        for w in ws:
+            down[v] |= seed[w]
+            up[w] &= seed[v]
+    assert sp.down(seed) == down
+    assert sp.up(seed) == up
+
+
+@space_names
+@settings(max_examples=15)
+@given(data=st.data())
+def test_splits_vector_matches_reference(name, data):
+    space = SPACES[name]
+    alg, npts = space[0], len(space[1])
+    table = data.draw(rank_tables(space))
+    assert ot.splits_vector(_operator(space, table)) == ref._splits(alg, npts, table)
+
+
+@space_names
+@settings(max_examples=15)
+@given(data=st.data())
+def test_weighted_formulas_match_reference(name, data):
+    # arbitrary weights per rank, middle degrees included
+    alg, car = SPACES[name]
+    sp = hset.space(alg, car)
+    n = len(sp.subs)
+    weights = data.draw(
+        st.lists(st.integers(0, len(alg) - 1), min_size=n, max_size=n)
+    )
+    sat = galois.weighted_saturation(sp, weights)
+    red = galois.weighted_reduction(sp, weights)
+    assert list(sat.rank_table()) == ref._weighted_sat(alg, len(car), weights)
+    assert list(red.rank_table()) == ref._weighted_red(alg, len(car), weights)
 
 
 @space_names
@@ -245,3 +291,23 @@ def test_boolean_worklists_match_weighted_formulas(data):
     splits = [gen.splits_axioms_degree(z, ax) for z in sp.subs]
     assert gen.generate_sat(ax) == galois.weighted_saturation(sp, fulfills)
     assert gen.generate_red(ax) == galois.weighted_reduction(sp, splits)
+
+
+@pytest.mark.parametrize(
+    "alg, npts",
+    [
+        (heyting.boolean2(), 12),
+        (heyting.downset_algebra(("p", "q"), []), 6),  # the diamond 2 x 2
+    ],
+    ids=["boolean2x12", "diamondx6"],
+)
+def test_sweep_kernels_at_the_default_cap(alg, npts):
+    # 4096 subsets: the identity is its own JJ, its RR is the full subset,
+    # and it is the only saturation and reduction fixing every subset
+    car = hset.Carrier([f"x{i}" for i in range(npts)])
+    assert hset.space_size(alg, car) == hset.DEFAULT_SUBSET_CAP
+    ident = ot.identity_op(alg, car)
+    assert galois.JJ(ident) == ident
+    full = hset.subset_rank(hset.full(alg, car))
+    assert set(ot.RR(ident).rank_table()) == {full}
+    assert galois.meet_reductions([ident]) == galois.join_saturations([ident]) == ident
