@@ -307,7 +307,12 @@ def parse_document(text):
         ws.operators[name] = _build_operator(ws, name, builder, op_builders)
 
     for name, (domain, edges) in relation_builders.items():
-        dom = hset.Carrier(domain)
+        try:
+            dom = hset.Carrier(domain)
+        except ValueError as exc:
+            raise ValidationError(
+                f"relation {name!r}: domain: {exc}", obj=name
+            ) from exc
         triples = []
         for lineno, x, a, d in edges:
             if x not in dom:
@@ -791,6 +796,12 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
+    if ns.subset_cap < 1:
+        sys.stderr.write(
+            "error: --subset-cap (or HEYTOP_SUBSET_CAP) must be at least 1, "
+            f"not {ns.subset_cap}\n"
+        )
+        return EXIT_USAGE
     caps = Caps(ns.subset_cap, ns.sample_count, ns.seed)
     ws = None
     try:
@@ -808,6 +819,9 @@ def main(argv=None):
         return EXIT_CAP
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error: {ns.doc} is not UTF-8 text: {exc}\n")
         return EXIT_USAGE
     except HeytopError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -21,10 +21,11 @@ the non-Boolean gen.generate_sat and gen.generate_red weigh by the
 axiom-set's fulfilling and splitting degrees.  AA(J), the greatest
 saturation compatible with the reduction J, is one code path with LL.
 
-Neither formula scans pairs (U, P) or (Z, V), and neither do LL and the
-splits vector (optable).  Each is a sweep of the hset.Space over the
-pointwise order, down(seed)[V] = join of seed[W] over W <= V or
-up(seed)[U] = meet of seed[W] over W >= U, and a pass over the ranks.
+Neither formula scans pairs (U, P) or (Z, V), and neither do LL, the
+splits vector and the compatibility degrees (optable).  Each is a sweep
+of the hset.Space over the pointwise order, down(seed)[V] = join of
+seed[W] over W <= V or up(seed)[U] = meet of seed[W] over W >= U, and a
+pass over the ranks or over an operator's image.
 With c ranging over the join-irreducible elements, d over the
 meet-irreducible ones:
 
@@ -34,6 +35,9 @@ meet-irreducible ones:
        where G = down(O U at each U)
     4. LL(O) U (a) = meet over d of K(U -> d)(a) -> d,
        where K = down(W at each W in the image of O)
+    5. compat(O1, O2) = meet over W in the image of O2 of splits(W, O1)
+    6. weak_compat(O1, O2) = not join over W in the image of O2 and c of
+       c /\\ (G(c -> not W) over W), where G = down(O1 U at each U)
 
 Proofs.  (1) incl(c /\\ Z, V) = c -> incl(Z, V), so c /\\ Z <= V iff
 c <= incl(Z, V): with t = incl(Z, V) /\\ w(Z), the term t /\\ Z of Z at V
@@ -44,9 +48,18 @@ is the meet of the entries c -> P over the c <= t.  (3) x -> y is the
 meet of x -> d over the d >= y, and (U over W) <= d iff U <= W -> d; so
 the U with (U over W) <= d are those below W -> d, and overlap
 distributes over their join.  (4) Likewise, (U over O V) <= d iff
-O V <= U -> d.  All four hold intuitionistically.  In Boolean mode c is
-top and d bot: splits(W) is top iff G(not W) misses W, and
-LL(O) U = not K(not U).
+O V <= U -> d.  (5) Each instance of compat reads V only through
+W = O2 V, and at a fixed W the meet over U of its instances is
+splits(W, O1) by definition.  (6) not a -> not b = not(not a /\\ b), and
+meets of negations are negations of joins, so weak_compat is not the
+join over U and W of not(U over W) /\\ (O1 U over W).  Here
+not(U over W) = incl(U, not W), the join of the c below it, and
+c <= incl(U, not W) iff U <= c -> not W; so for each c the U in question
+are those below c -> not W, and overlap distributes over their join,
+G(c -> not W).  All six hold intuitionistically.  In Boolean mode c is
+top and d bot: splits(W) is top iff G(not W) misses W,
+LL(O) U = not K(not U), and weak_compat equals compat, both top iff
+G(not W) misses W for every W in the image of O2.
 
 AA and JJ form an antitone Galois connection:
 A included in AA(J), A compatible with J, and J included in JJ(A) all

@@ -262,24 +262,20 @@ class Space:
     in is final.  A pass costs |H|^|S| / |H| steps per cover of the algebra;
     only the algebra's cover lists are kept, no per-rank neighbour lists.
     The weighted saturation and reduction (galois, from
-    ``saturation_seed``/``reduction_seed``), LL and the splits vector
-    (optable) are sweeps, so no kernel reads a row of incl.
+    ``saturation_seed``/``reduction_seed``), LL, the splits vector and the
+    compat kernels (optable) are sweeps, so no kernel reads a row of
+    overlap or incl, and the Space keeps none.  A single overlap is
+    ``support(planes[i] & planes[j])``; ``incl(i, j)`` reads a single
+    entry from the planes, for the operator orders.
 
-    ``ov_row(j)[i] = overlap(subs[i], subs[j])`` is filled on first read
-    and kept, since a law suite reads the same rows many times; a row is
-    bytes when the algebra has at most 256 elements, a tuple otherwise.
-    Only the compat kernels read these rows.  ``incl(i, j)`` reads a
-    single entry from the planes, for the operator orders.
-
-    ``space`` keeps the Space in a slot on its carrier, so the enumeration,
-    the planes and the rows live exactly as long as the carrier (the
-    document) does.
+    ``space`` keeps the Space in a slot on its carrier, so the enumeration
+    and the planes live exactly as long as the carrier (the document) does.
     """
 
     __slots__ = (
         "algebra", "carrier", "subs", "planes", "full",
         "lower_covers", "upper_covers", "join_irreducibles", "meet_irreducibles",
-        "_order", "_fields", "_elem_of", "_up", "_incl_of", "_ov",
+        "_order", "_fields", "_elem_of", "_up", "_incl_of",
     )
 
     def __init__(self, algebra, carrier):
@@ -291,7 +287,6 @@ class Space:
             HSubset(algebra, carrier, degs)
             for degs in itertools.product(range(h), repeat=npts)
         )
-        self._ov = [None] * len(self.subs)
 
         lt = algebra.leq_table
         below = [[y for y in range(h) if y != x and lt[y][x]] for x in range(h)]
@@ -324,7 +319,11 @@ class Space:
 
     def _mask(self, x):
         """The join-irreducibles whose plane of x is not 0, as a bitmask."""
-        return sum(b for b, field in self._fields if x & field)
+        mask = 0
+        for b, field in self._fields:
+            if x & field:
+                mask |= b
+        return mask
 
     def support(self, x):
         """The join of the degrees of the subset with planes x: the degree
@@ -349,22 +348,6 @@ class Space:
     def incl(self, i, j):
         """incl(subs[i], subs[j]): one entry."""
         return self._incl(self.planes[i] & ~self.planes[j])
-
-    def ov_row(self, j):
-        """overlap(subs[i], subs[j]) for every rank i."""
-        row = self._ov[j]
-        if row is None:
-            v = self.planes[j]
-            alg = self.algebra
-            if len(alg) == 2:
-                top, bot = alg.top, alg.bot
-                vals = [top if u & v else bot for u in self.planes]
-            else:
-                vals = [self.support(u & v) for u in self.planes]
-            row = self._ov[j] = (
-                bytes(vals) if len(alg) <= 256 else tuple(vals)
-            )
-        return row
 
     def ranks(self, vals):
         """The rank of each subset in vals, given by its planes."""

@@ -10,28 +10,27 @@ cheap; above it every application runs the body.
 The compatibility degree of O with O' is the meet over all subset pairs
 (U, V) of  overlap(O U, O' V) -> overlap(U, O' V);  in Boolean mode this
 is top exactly when the classical implication holds for all pairs.
-Every instance reads V only through O' V, so V ranges over the image of
-O' alone, each output taken at the first input that produces it.  That is
-exact: meets are idempotent, so a repeated output adds nothing to a
-degree, and its instance degree equals that of its first occurrence,
-which comes earlier in the enumeration, so the first pair reaching the
-lowest instance degree is unchanged.  LL(O) likewise reads only the
-image of O.
+Every instance reads V only through W = O' V, so V ranges over the image
+of O' alone, each output taken at the first input that produces it.
+That is exact, witness included: a repeated output repeats instance
+degrees already met earlier in the enumeration, which never lower the
+running lowest degree.  At a fixed W the meet over U is splits(W, O), so
+the compatibility degree is the meet of splits(W, O) over the image of O'.
 LL(O) and RR(O), the greatest left-/right-compatible operators, are
 computed from their pointwise characterizations rather than by searching
 the (impredicative) lattice of all operators.
 
 The quantified kernels work on subset ranks and on the Birkhoff
-bit-planes of the context's hset.Space.  The compat kernels read whole
-rows of overlap (``ov_row``), computed on first read and kept on the
-space, which its carrier holds: repeated calls over one document share
-rows, and a dropped document frees them; they read each distinct pair
-of degrees once.  The operator orders read single incl entries.
-classify compares subsets as planes (U <= V is ``not U & ~V``).  LL, RR
-and splits_degree read no rows: each is one sweep of the space
-(``Space.down``) and a pass over the ranks, by the identities stated and
-proved in galois, and no kernel reads a row of incl.  splits_vector gives
-splits(Z, O) for every Z at once; RR and galois.JJ share it.
+bit-planes of the context's hset.Space, and no kernel scans pairs of
+subsets.  Each of LL, RR, splits, compat and weak compat is one sweep of
+the space (``Space.down``) and a pass over the ranks or over an
+operator's image, by the identities stated and proved in galois.
+splits_vector gives splits(Z, O) for every Z at once; RR and galois.JJ
+share it.  Only compat_witness, below top, scans pairs, to name the
+first pair reaching the lowest instance degree: it skips every W whose
+splits degree is top, whose instances are all top, and reads each
+overlap from the planes.  classify compares subsets as planes (U <= V is
+``not U & ~V``); the operator orders read single incl entries.
 """
 
 from __future__ import annotations
@@ -342,31 +341,20 @@ def _image(table):
     return [(v, r) for r, v in first.items()]
 
 
-def _meet_over_rows(alg, rows, t1, instance):
-    """Meet of instance[row[t1[u]]][row[u]] over every row and every rank u.
-
-    Only the distinct (row[t1[u]], row[u]) pairs are looked up: meets are
-    idempotent and commutative, so repeats and order do not matter.
-    """
-    mt = alg.meet_table
-    bot = alg.bot
-    acc = alg.top
-    for row in rows:
-        for x, y in set(zip(map(row.__getitem__, t1), row)):
-            acc = mt[acc][instance[x][y]]
-            if acc == bot:
-                return acc
-    return acc
+def _image_splits(o1, o2, cap):
+    """The space, the image of O2 (as _image gives it) and splits(W, O1)
+    at each W in it; compat(O1, O2) is the meet of the latter (galois,
+    identity 5)."""
+    _same_op_context(o1, o2)
+    sp, g = _lower_join(o1, cap)
+    image = _image(o2.rank_table(cap))
+    return sp, image, _splits_at(sp, g, [w for _, w in image])
 
 
 def compat_degree(o1, o2, cap=None):
     """Meet over all (U, V) of  (O1 U over O2 V) -> (U over O2 V)."""
-    _same_op_context(o1, o2)
-    alg = o1.algebra
-    sp = hset.space(alg, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    rows = [sp.ov_row(r) for _, r in _image(o2.rank_table(cap))]
-    return _meet_over_rows(alg, rows, t1, alg.imp_table)
+    _, _, split = _image_splits(o1, o2, cap)
+    return o1.algebra.big_meet(split)
 
 
 def compat_witness(o1, o2, cap=None):
@@ -374,23 +362,25 @@ def compat_witness(o1, o2, cap=None):
     achieving the lowest single-instance degree (None when every instance is
     top).  In a non-linear algebra the meet can sit strictly below every
     instance; the degree reported here is always the exact meet.
+
+    The degree comes from the splits degrees of the image of O2.  The
+    witness scan reads only the W whose splits degree is below top: every
+    instance of the others is top and never lowers the running best.
     """
-    _same_op_context(o1, o2)
+    sp, image, split = _image_splits(o1, o2, cap)
     alg = o1.algebra
-    sp = hset.space(alg, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    image = _image(o2.rank_table(cap))
-    rows = [sp.ov_row(r) for _, r in image]
-    mt, it = alg.meet_table, alg.imp_table
-    lt = alg.leq_table
-    acc = _meet_over_rows(alg, rows, t1, it)
+    acc = alg.big_meet(split)
     if acc == alg.top:
         return acc, None
+    planes, support = sp.planes, sp.support
+    below = [(v, planes[w]) for (v, w), s in zip(image, split) if s != alg.top]
+    it, lt = alg.imp_table, alg.leq_table
     best = alg.top
     where = None
-    for u, ou in enumerate(t1):
-        for (v, _), row in zip(image, rows):
-            d = it[row[ou]][row[u]]
+    for u, ou in enumerate(o1.rank_table(cap)):
+        pu, pou = planes[u], planes[ou]
+        for v, w in below:
+            d = it[support(pou & w)][support(pu & w)]
             if d != best and lt[d][best]:
                 best = d
                 where = (sp.subs[u], sp.subs[v])
@@ -400,16 +390,23 @@ def compat_witness(o1, o2, cap=None):
 
 
 def weak_compat_degree(o1, o2, cap=None):
-    """Meet over (U, V) of  not(U over O2 V) -> not(O1 U over O2 V)."""
+    """Meet over (U, V) of  not(U over O2 V) -> not(O1 U over O2 V),
+    computed as not of the join over W in the image of O2 and
+    join-irreducible c of  c /\\ (G(c -> not W) over W)  (galois,
+    identity 6), where G V is the join of O1 U over U <= V.
+    """
     _same_op_context(o1, o2)
     alg = o1.algebra
-    sp = hset.space(alg, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    rows = [sp.ov_row(r) for _, r in _image(o2.rank_table(cap))]
-    it = alg.imp_table
-    h = range(len(alg))
-    instance = [[it[alg.neg(y)][alg.neg(x)] for y in h] for x in h]
-    return _meet_over_rows(alg, rows, t1, instance)
+    sp, g = _lower_join(o1, cap)
+    planes, support = sp.planes, sp.support
+    image = [w for _, w in _image(o2.rank_table(cap))]
+    jt, mt, it = alg.join_table, alg.meet_table, alg.imp_table
+    acc = alg.bot
+    for c in sp.join_irreducibles:
+        to_c = sp.pointwise([it[c][alg.neg(x)] for x in range(len(alg))])
+        for w in image:
+            acc = jt[acc][mt[c][support(g[to_c[w]] & planes[w])]]
+    return alg.neg(acc)
 
 
 def splits_degree(z, op, cap=None):
@@ -419,7 +416,8 @@ def splits_degree(z, op, cap=None):
     """
     if z.algebra is not op.algebra or z.carrier is not op.carrier:
         raise ContextMismatch("subset and operator live over different contexts")
-    return splits_vector(op, cap)[hset.subset_rank(z)]
+    sp, g = _lower_join(op, cap)
+    return _splits_at(sp, g, [hset.subset_rank(z)])[0]
 
 
 def splits_vector(op, cap=None):
@@ -427,17 +425,28 @@ def splits_vector(op, cap=None):
     splits(W) = meet over meet-irreducible d of (G(W -> d) over W) -> d,
     where G V is the join of O U over U <= V.
     """
-    alg = op.algebra
-    sp = hset.space(alg, op.carrier, cap)
-    planes = sp.planes
-    g = sp.down([planes[r] for r in op.rank_table(cap)])
+    sp, g = _lower_join(op, cap)
+    return _splits_at(sp, g, range(len(sp.planes)))
+
+
+def _lower_join(op, cap):
+    """The space and G V = join of O U over U <= V, as planes, at every V."""
+    sp = hset.space(op.algebra, op.carrier, cap)
+    return sp, sp.down([sp.planes[r] for r in op.rank_table(cap)])
+
+
+def _splits_at(sp, g, ranks):
+    """splits(W) at each W in ranks, from G = _lower_join's sweep."""
+    alg = sp.algebra
     mt, it = alg.meet_table, alg.imp_table
-    support = sp.support
-    split = [alg.top] * len(planes)
+    planes, support = sp.planes, sp.support
+    ws = [planes[w] for w in ranks]
+    split = [alg.top] * len(ws)
     for d in sp.meet_irreducibles:
         to_d = sp.pointwise([row[d] for row in it])
         split = [
-            mt[s][it[support(g[t] & w)][d]] for s, t, w in zip(split, to_d, planes)
+            mt[s][it[support(g[to_d[r]] & w)][d]]
+            for s, r, w in zip(split, ranks, ws)
         ]
     return split
 

@@ -4,17 +4,16 @@ axiom-set generates (gen.generate_sat, gen.generate_red).
 
 Subsets are degree tuples in the documented enumeration order
 (itertools.product over element indices), operators are rank tables, and
-every quantifier runs over the whole space: no overlap or incl rows, no
-short-circuits, no restriction to covering pairs or to an operator's image.
-Only the algebra's derived meet/join/implication tables are shared with the
-package.  Witnesses are returned as ranks.
+every quantifier runs over the whole space: no short-circuits, no
+restriction to covering pairs or to an operator's image.  The leq,
+overlap and incl degree of every pair of subsets are computed once per
+(algebra, number of points), pointwise from their definitions, and kept in
+matrices indexed by rank.  Only the algebra's derived meet/join/implication
+tables are shared with the package.  Witnesses are returned as ranks.
 """
 
+import functools
 import itertools
-
-
-def subsets(alg, npts):
-    return list(itertools.product(range(len(alg)), repeat=npts))
 
 
 def _leq(alg, u, v):
@@ -35,17 +34,40 @@ def _incl(alg, u, v):
     return acc
 
 
+class _Space:
+    """The subsets of one (algebra, number of points) in enumeration order,
+    the rank of each, and the leq, overlap and incl matrices over ranks."""
+
+    def __init__(self, alg, npts):
+        subs = self.subs = list(itertools.product(range(len(alg)), repeat=npts))
+        self.rank = {u: r for r, u in enumerate(subs)}
+        self.leq = [[_leq(alg, u, v) for v in subs] for u in subs]
+        self.overlap = [[_overlap(alg, u, v) for v in subs] for u in subs]
+        self.incl = [[_incl(alg, u, v) for v in subs] for u in subs]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(alg, npts):
+    return _Space(alg, npts)
+
+
+def subsets(alg, npts):
+    return _space(alg, npts).subs
+
+
 def _join(alg, xs):
+    jt = alg.join_table
     acc = alg.bot
     for x in xs:
-        acc = alg.join_table[acc][x]
+        acc = jt[acc][x]
     return acc
 
 
 def _meet(alg, xs):
+    mt = alg.meet_table
     acc = alg.top
     for x in xs:
-        acc = alg.meet_table[acc][x]
+        acc = mt[acc][x]
     return acc
 
 
@@ -55,134 +77,126 @@ def _first(xs):
 
 def classify(alg, npts, table):
     """{flag: (holds, witness)} with the first failing pair or subset."""
-    subs = subsets(alg, npts)
-    n = len(subs)
-    out = [subs[r] for r in table]
+    leq = _space(alg, npts).leq
+    n = len(table)
     bad_pairs = [
         (u, v)
         for u in range(n)
         for v in range(n)
-        if _leq(alg, subs[u], subs[v]) and not _leq(alg, out[u], out[v])
+        if leq[u][v] and not leq[table[u]][table[v]]
     ]
     bad = {
         "monotone": bad_pairs,
         "idempotent": [u for u in range(n) if table[table[u]] != table[u]],
-        "expansive": [u for u in range(n) if not _leq(alg, subs[u], out[u])],
-        "contractive": [u for u in range(n) if not _leq(alg, out[u], subs[u])],
+        "expansive": [u for u in range(n) if not leq[u][table[u]]],
+        "contractive": [u for u in range(n) if not leq[table[u]][u]],
     }
     return {k: (not v, _first(v)) for k, v in bad.items()}
 
 
 def _instances(alg, npts, t1, t2, degree):
-    subs = subsets(alg, npts)
-    n = len(subs)
-    for u in range(n):
-        for v in range(n):
-            yield (u, v), degree(subs[u], subs[t1[u]], subs[t2[v]])
+    """degree[overlap(U, O2 V)][overlap(O1 U, O2 V)] for every pair (U, V)
+    of ranks, U major; the pair at index i is divmod(i, len(t2))."""
+    ov = _space(alg, npts).overlap
+    return [degree[ov[u][w]][ov[ou][w]] for u, ou in enumerate(t1) for w in t2]
+
+
+def _compat(alg):
+    """compat's instance as a table: [U over W][O1 U over W] is
+    (O1 U over W) -> (U over W)."""
+    h = range(len(alg))
+    return [[alg.imp_table[y][x] for y in h] for x in h]
 
 
 def compat_degree(alg, npts, t1, t2):
-    return _meet(alg, (d for _, d in _instances(alg, npts, t1, t2, _compat(alg))))
+    return _meet(alg, _instances(alg, npts, t1, t2, _compat(alg)))
 
 
 def compat_witness(alg, npts, t1, t2):
     """(degree, first pair whose instance degree is strictly below every
     instance degree before it, as ranks, or None)."""
+    degrees = _instances(alg, npts, t1, t2, _compat(alg))
+    lt = alg.leq_table
     best, where = alg.top, None
-    degrees = []
-    for pair, d in _instances(alg, npts, t1, t2, _compat(alg)):
-        degrees.append(d)
-        if d != best and alg.leq_table[d][best]:
-            best, where = d, pair
+    for i, d in enumerate(degrees):
+        if d != best and lt[d][best]:
+            best, where = d, divmod(i, len(t2))
     return _meet(alg, degrees), where
 
 
 def weak_compat_degree(alg, npts, t1, t2):
-    neg = alg.neg
-    imp = alg.imp_table
-
-    def degree(u, ou, o2v):
-        return imp[neg(_overlap(alg, u, o2v))][neg(_overlap(alg, ou, o2v))]
-
-    return _meet(alg, (d for _, d in _instances(alg, npts, t1, t2, degree)))
-
-
-def _compat(alg):
-    imp = alg.imp_table
-
-    def degree(u, ou, o2v):
-        return imp[_overlap(alg, ou, o2v)][_overlap(alg, u, o2v)]
-
-    return degree
+    h = range(len(alg))
+    neg, imp = alg.neg, alg.imp_table
+    degree = [[imp[neg(x)][neg(y)] for y in h] for x in h]
+    return _meet(alg, _instances(alg, npts, t1, t2, degree))
 
 
 def LL(alg, npts, table):
     """Rank table of LL(O): U(a) = meet over V of O V(a) -> (U over O V)."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
+    subs, ov = sp.subs, sp.overlap
     imp = alg.imp_table
     out = []
-    for u in subs:
+    for u in range(len(subs)):
         degs = tuple(
-            _meet(alg, [imp[subs[r][a]][_overlap(alg, u, subs[r])] for r in table])
+            _meet(alg, [imp[subs[r][a]][ov[u][r]] for r in table])
             for a in range(npts)
         )
-        out.append(subs.index(degs))
+        out.append(sp.rank[degs])
     return out
 
 
 def splits_degree(alg, npts, z, table):
     """Meet over U of (O U over Z) -> (U over Z), Z given as a rank."""
-    subs = subsets(alg, npts)
+    ov = _space(alg, npts).overlap
     imp = alg.imp_table
-    return _meet(
-        alg,
-        (
-            imp[_overlap(alg, subs[table[u]], subs[z])][_overlap(alg, subs[u], subs[z])]
-            for u in range(len(subs))
-        ),
-    )
+    return _meet(alg, (imp[ov[table[u]][z]][ov[u][z]] for u in range(len(table))))
 
 
 def _splits(alg, npts, table):
-    return [splits_degree(alg, npts, z, table) for z in range(len(alg) ** npts)]
+    return [splits_degree(alg, npts, z, table) for z in range(len(table))]
 
 
 def RR(alg, npts, table):
     """Rank of RR(O)'s constant value: join over Z of splits(Z) /\\ Z(a)."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
     split = _splits(alg, npts, table)
     mt = alg.meet_table
     degs = tuple(
-        _join(alg, (mt[s][z[a]] for z, s in zip(subs, split))) for a in range(npts)
+        _join(alg, (mt[s][z[a]] for z, s in zip(sp.subs, split))) for a in range(npts)
     )
-    return subs.index(degs)
+    return sp.rank[degs]
 
 
 def _weighted_red(alg, npts, weights):
     """Rank table of V(a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a)."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
+    subs, incl = sp.subs, sp.incl
     mt = alg.meet_table
     out = []
-    for v in subs:
+    for v in range(len(subs)):
+        terms = [mt[incl[z][v]][w] for z, w in enumerate(weights)]
         degs = tuple(
-            _join(alg, (mt[mt[_incl(alg, z, v)][w]][z[a]] for z, w in zip(subs, weights)))
+            _join(alg, [mt[t][z[a]] for t, z in zip(terms, subs)])
             for a in range(npts)
         )
-        out.append(subs.index(degs))
+        out.append(sp.rank[degs])
     return out
 
 
 def _weighted_sat(alg, npts, weights):
     """Rank table of U(a) = meet over P of (incl(U, P) /\\ w(P)) -> P(a)."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
+    subs, incl = sp.subs, sp.incl
     mt, imp = alg.meet_table, alg.imp_table
     out = []
-    for u in subs:
+    for u in range(len(subs)):
+        terms = [mt[incl[u][p]][w] for p, w in enumerate(weights)]
         degs = tuple(
-            _meet(alg, (imp[mt[_incl(alg, u, p)][w]][p[a]] for p, w in zip(subs, weights)))
+            _meet(alg, [imp[t][p[a]] for t, p in zip(terms, subs)])
             for a in range(npts)
         )
-        out.append(subs.index(degs))
+        out.append(sp.rank[degs])
     return out
 
 
@@ -194,29 +208,29 @@ def JJ(alg, npts, table):
 def A_P(alg, npts, family):
     """Rank table of A_P: U(a) = meet over V in P of incl(U, V) -> V(a).
     The family is a list of ranks, repeats allowed."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
+    subs, incl = sp.subs, sp.incl
     imp = alg.imp_table
-    members = [subs[v] for v in family]
     return [
-        subs.index(tuple(
-            _meet(alg, (imp[_incl(alg, u, v)][v[a]] for v in members))
+        sp.rank[tuple(
+            _meet(alg, (imp[incl[u][v]][subs[v][a]] for v in family))
             for a in range(npts)
-        ))
-        for u in subs
+        )]
+        for u in range(len(subs))
     ]
 
 
 def J_P(alg, npts, family):
     """Rank table of J_P: U(a) = join over V in P of incl(V, U) /\\ V(a)."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
+    subs, incl = sp.subs, sp.incl
     mt = alg.meet_table
-    members = [subs[v] for v in family]
     return [
-        subs.index(tuple(
-            _join(alg, (mt[_incl(alg, v, u)][v[a]] for v in members))
+        sp.rank[tuple(
+            _join(alg, (mt[incl[v][u]][subs[v][a]] for v in family))
             for a in range(npts)
-        ))
-        for u in subs
+        )]
+        for u in range(len(subs))
     ]
 
 
@@ -225,21 +239,21 @@ def J_P(alg, npts, family):
 
 def fulfills(alg, npts, axioms, p):
     """Meet over covers of (weight /\\ incl(C, P)) -> P(a), P a rank."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
     mt, imp = alg.meet_table, alg.imp_table
     return _meet(
         alg,
-        (imp[mt[w][_incl(alg, subs[c], subs[p])]][subs[p][a]] for a, c, w in axioms),
+        (imp[mt[w][sp.incl[c][p]]][sp.subs[p][a]] for a, c, w in axioms),
     )
 
 
 def splits_axioms(alg, npts, axioms, z):
     """Meet over covers of (weight /\\ Z(a)) -> overlap(C, Z), Z a rank."""
-    subs = subsets(alg, npts)
+    sp = _space(alg, npts)
     mt, imp = alg.meet_table, alg.imp_table
     return _meet(
         alg,
-        (imp[mt[w][subs[z][a]]][_overlap(alg, subs[c], subs[z])] for a, c, w in axioms),
+        (imp[mt[w][sp.subs[z][a]]][sp.overlap[c][z]] for a, c, w in axioms),
     )
 
 
@@ -258,17 +272,11 @@ def generate_red(alg, npts, axioms):
 
 
 def op_incl_degree(alg, npts, t1, t2):
-    subs = subsets(alg, npts)
-    return _meet(alg, (_incl(alg, subs[a], subs[b]) for a, b in zip(t1, t2)))
+    incl = _space(alg, npts).incl
+    return _meet(alg, (incl[a][b] for a, b in zip(t1, t2)))
 
 
 def op_eq_degree(alg, npts, t1, t2):
-    subs = subsets(alg, npts)
+    incl = _space(alg, npts).incl
     mt = alg.meet_table
-    return _meet(
-        alg,
-        (
-            mt[_incl(alg, subs[a], subs[b])][_incl(alg, subs[b], subs[a])]
-            for a, b in zip(t1, t2)
-        ),
-    )
+    return _meet(alg, (mt[incl[a][b]][incl[b][a]] for a, b in zip(t1, t2)))

@@ -282,3 +282,37 @@ def test_env_fallback_for_caps(tmp_path, capsys, monkeypatch):
         == cli.EXIT_OK
     )
     capsys.readouterr()
+
+
+def _one_line_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_relation_with_duplicate_domain_point_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "w.doc"
+    doc.write_text(
+        "algebra boolean\ncarrier a\nrelation r\n  domain x x\n  edge x a\nend\n"
+    )
+    with pytest.raises(ValidationError, match="duplicate point names"):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+def test_document_not_utf8_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "w.doc"
+    doc.write_bytes(b"algebra boolean\ncarrier \xff\xfe\n")
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_subset_cap_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, cap):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    _one_line_usage_error(
+        cli.main(["-d", str(doc), "--subset-cap", cap, "ll", "Id"]), capsys
+    )
+    monkeypatch.setenv("HEYTOP_SUBSET_CAP", cap)
+    _one_line_usage_error(cli.main(["-d", str(doc), "ll", "Id"]), capsys)

@@ -138,6 +138,37 @@ def test_compat_matches_reference(name, data):
 @space_names
 @settings(max_examples=20)
 @given(data=st.data())
+def test_compat_near_compatible_pairs_matches_reference(name, data):
+    # (AA(J), J) and (A, JJ(A)) are compatible, so the degree is top and no
+    # witness is searched; one perturbed entry of the second operator
+    # usually pushes a few W below top, and only those are scanned.
+    space = SPACES[name]
+    alg, car = space
+    npts = len(car)
+    subs = hset.enumerate_all(alg, car)
+    family = data.draw(st.lists(st.sampled_from(subs), max_size=4))
+    if data.draw(st.booleans()):
+        second = galois.from_family_red(family, algebra=alg, carrier=car)
+        first = galois.AA(second)
+    else:
+        first = galois.from_family_sat(family, algebra=alg, carrier=car)
+        second = galois.JJ(first)
+    t1, t2 = list(first.rank_table()), list(second.rank_table())
+    if data.draw(st.booleans()):
+        n = len(subs)
+        t2[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    else:
+        assert ot.compat_witness(first, second) == (alg.top, None)
+    o1, o2 = _operator(space, t1), _operator(space, t2)
+    degree, witness = ot.compat_witness(o1, o2)
+    assert (degree, _ranks(witness)) == ref.compat_witness(alg, npts, t1, t2)
+    assert ot.compat_degree(o1, o2) == degree
+    assert ot.weak_compat_degree(o1, o2) == ref.weak_compat_degree(alg, npts, t1, t2)
+
+
+@space_names
+@settings(max_examples=20)
+@given(data=st.data())
 def test_ll_matches_reference(name, data):
     space = SPACES[name]
     table = data.draw(rank_tables(space))
@@ -148,14 +179,15 @@ def test_ll_matches_reference(name, data):
 @space_names
 def test_space_matches_overlap_and_incl(name):
     alg, car = SPACES[name]
+    # compat_witness reads each overlap as the support of a meet of planes
     sp = hset.Space(alg, car)
-    subs = sp.subs
+    subs, planes = sp.subs, sp.planes
     ranks = range(len(subs))
     for j, v in enumerate(subs):
         overlaps = [hset.overlap(u, v) for u in subs]
         incls = [hset.incl(v, w) for w in subs]
         assert [sp.incl(j, k) for k in ranks] == incls
-        assert list(sp.ov_row(j)) == overlaps
+        assert [sp.support(planes[i] & planes[j]) for i in ranks] == overlaps
 
 
 @space_names
@@ -293,7 +325,7 @@ def test_boolean_worklists_match_weighted_formulas(data):
     assert gen.generate_red(ax) == galois.weighted_reduction(sp, splits)
 
 
-@pytest.mark.parametrize(
+at_the_default_cap = pytest.mark.parametrize(
     "alg, npts",
     [
         (heyting.boolean2(), 12),
@@ -301,6 +333,9 @@ def test_boolean_worklists_match_weighted_formulas(data):
     ],
     ids=["boolean2x12", "diamondx6"],
 )
+
+
+@at_the_default_cap
 def test_sweep_kernels_at_the_default_cap(alg, npts):
     # 4096 subsets: the identity is its own JJ, its RR is the full subset,
     # and it is the only saturation and reduction fixing every subset
@@ -311,3 +346,19 @@ def test_sweep_kernels_at_the_default_cap(alg, npts):
     full = hset.subset_rank(hset.full(alg, car))
     assert set(ot.RR(ident).rank_table()) == {full}
     assert galois.meet_reductions([ident]) == galois.join_saturations([ident]) == ident
+
+
+@at_the_default_cap
+def test_compat_kernels_at_the_default_cap(alg, npts):
+    # 4096 subsets: the identity is compatible with itself, and the three
+    # Galois degrees coincide for it and for a family pair (A_P, J_P)
+    car = hset.Carrier([f"x{i}" for i in range(npts)])
+    ident = ot.identity_op(alg, car)
+    assert ot.compat_witness(ident, ident) == (alg.top, None)
+    assert galois.galois_check(ident, ident).details["three-way-coincide"] == "True"
+    subs = hset.enumerate_all(alg, car)
+    family = [subs[1], subs[len(subs) // 3], subs[-2]]
+    a_p = galois.from_family_sat(family, algebra=alg, carrier=car)
+    j_p = galois.from_family_red(family, algebra=alg, carrier=car)
+    report = galois.galois_check(a_p, j_p)
+    assert report.details["three-way-coincide"] == "True"
