@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .heyting import HeytingAlgebra, boolean2, build_from_order, chain, downset_algebra
-from .hset import Carrier, HSubset, empty, enumerate_all, from_degrees, from_points, full, incl, overlap
+from .hset import Carrier, HSubset, empty, enumerate_all, from_degrees, from_points, full, incl, overlap, subset_cap
 from .optable import (
     LL,
     RR,

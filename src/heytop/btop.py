@@ -49,35 +49,33 @@ class BasicTopology:
         """Boolean coarser-than: self <= other."""
         return coarser(self, other) == self.algebra.top
 
-    def reduce(self, cap=None):
+    def reduce(self):
         """T^R = [AA(J), J]: the greatest reduced basic topology below T."""
         return make(
-            AA(self.red, cap),
+            AA(self.red),
             self.red,
-            cap=cap,
             name=f"{self.name or 'T'}^R",
         )
 
-    def saturate(self, cap=None):
+    def saturate(self):
         """T^S = [A, JJ(A)]: the least saturated basic topology above T."""
         return make(
             self.sat,
-            JJ(self.sat, cap),
-            cap=cap,
+            JJ(self.sat),
             name=f"{self.name or 'T'}^S",
         )
 
 
-def make(sat, red, cap=None, name=None):
+def make(sat, red, *, name=None):
     """Certify and build [A, J]; NotCompatible carries the first witness pair."""
     if not isinstance(sat, Saturation):
-        sat = Saturation.certify(sat, cap=cap)
+        sat = Saturation.certify(sat)
     if not isinstance(red, Reduction):
-        red = Reduction.certify(red, cap=cap)
+        red = Reduction.certify(red)
     if sat.algebra is not red.algebra or sat.carrier is not red.carrier:
         raise ContextMismatch("saturation and reduction live over different contexts")
     alg = sat.algebra
-    degree, witness = compat_witness(sat, red, cap)
+    degree, witness = compat_witness(sat, red)
     if degree != alg.top:
         rendered = None
         if witness is not None:
@@ -90,18 +88,18 @@ def make(sat, red, cap=None, name=None):
     return BasicTopology(alg, sat.carrier, sat, red, name=name)
 
 
-def coarser(t1, t2, cap=None):
+def coarser(t1, t2):
     """Degree to which t1 is coarser than t2: [A2 in A1] /\\ [J1 in J2]."""
     if t1.algebra is not t2.algebra or t1.carrier is not t2.carrier:
         raise ContextMismatch("topologies live over different contexts")
     alg = t1.algebra
     return alg.meet(
-        op_incl_degree(t2.sat, t1.sat, cap),
-        op_incl_degree(t1.red, t2.red, cap),
+        op_incl_degree(t2.sat, t1.sat),
+        op_incl_degree(t1.red, t2.red),
     )
 
 
-def join_family(tops, *, algebra=None, carrier=None, cap=None, name=None):
+def join_family(tops, *, algebra=None, carrier=None, name=None):
     """Join in BTop(S): [meet of saturations, join of reductions].
 
     Compatibility of the result is a theorem; the certificate is still
@@ -110,29 +108,29 @@ def join_family(tops, *, algebra=None, carrier=None, cap=None, name=None):
     tops = list(tops)
     algebra, carrier = hset.family_context(tops, algebra, carrier)
     sat = meet_saturations(
-        [t.sat for t in tops], algebra=algebra, carrier=carrier, cap=cap
+        [t.sat for t in tops], algebra=algebra, carrier=carrier
     )
     red = join_reductions(
-        [t.red for t in tops], algebra=algebra, carrier=carrier, cap=cap
+        [t.red for t in tops], algebra=algebra, carrier=carrier
     )
-    return make(sat, red, cap=cap, name=name)
+    return make(sat, red, name=name)
 
 
-def is_reduced(t, cap=None):
+def is_reduced(t):
     """T = T^R, decided extensionally; returns (bool, witness subset or None)."""
-    target = AA(t.red, cap)
-    witness = op_eq_witness(t.sat, target, cap)
+    target = AA(t.red)
+    witness = op_eq_witness(t.sat, target)
     return witness is None, witness
 
 
-def is_saturated(t, cap=None):
+def is_saturated(t):
     """T = T^S, decided extensionally; returns (bool, witness subset or None)."""
-    target = JJ(t.sat, cap)
-    witness = op_eq_witness(t.red, target, cap)
+    target = JJ(t.sat)
+    witness = op_eq_witness(t.red, target)
     return witness is None, witness
 
 
-def adjunction_check(arg, t, cap=None):
+def adjunction_check(arg, t):
     """Check one adjunction instance against the basic topology t.
 
     For a Reduction J:   [AA(J), J] <= T      iff  J in T.red
@@ -143,12 +141,12 @@ def adjunction_check(arg, t, cap=None):
     """
     alg = t.algebra
     if isinstance(arg, Reduction):
-        lhs = coarser(make(AA(arg, cap), arg, cap=cap), t, cap)
-        rhs = op_incl_degree(arg, t.red, cap)
+        lhs = coarser(make(AA(arg), arg), t)
+        rhs = op_incl_degree(arg, t.red)
         law = "adjunction-IR-UR"
     elif isinstance(arg, Saturation):
-        lhs = op_incl_degree(arg, t.sat, cap)
-        rhs = coarser(t, make(arg, JJ(arg, cap), cap=cap), cap)
+        lhs = op_incl_degree(arg, t.sat)
+        rhs = coarser(t, make(arg, JJ(arg)))
         law = "adjunction-US-IS"
     else:
         raise TypeError("adjunction_check needs a Saturation or a Reduction")
@@ -201,16 +199,16 @@ class Diagram:
         return "\n".join(lines)
 
 
-def five_node_diagram(t, cap=None):
+def five_node_diagram(t):
     """Compute T, T^R, T^S, T^RS, T^SR, merge equal nodes, order them.
 
     Also verifies the orderings the construction guarantees:
     T^R <= T <= T^S and T^RS <= T^SR.
     """
-    tr = t.reduce(cap)
-    ts = t.saturate(cap)
-    trs = tr.saturate(cap)
-    tsr = ts.reduce(cap)
+    tr = t.reduce()
+    ts = t.saturate()
+    trs = tr.saturate()
+    tsr = ts.reduce()
     tops = {"T": t, "T^R": tr, "T^S": ts, "T^RS": trs, "T^SR": tsr}
 
     nodes = []

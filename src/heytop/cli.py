@@ -47,6 +47,13 @@ omitted points are bot.  Degrees print as element names, never numerals.
 
 Exit codes: 0 all checked laws hold, 1 a law fails (witness printed),
 2 usage/parse error, 3 cap exceeded.
+
+The subset cap: a quantified answer enumerates a subset space of
+|H|^|S| subsets and exits 3 when that is above the subset cap in force
+(hset.subset_cap).  The document is built under the larger of the
+default cap and --subset-cap, so a lowered cap still parses and
+validates it; every command runs under --subset-cap, counterexample
+included.
 """
 
 from __future__ import annotations
@@ -550,7 +557,7 @@ def cmd_validate(ws, args, caps):
 def cmd_classify(ws, args, caps):
     (opname,) = args
     op = _need(ws, "operators", opname)
-    profile = profile_of(op, caps.subset_cap)
+    profile = profile_of(op)
     lines = [f"classify {opname}:"]
     lines.append(_render_flag("monotone", profile.monotone))
     lines.append(_render_flag("idempotent", profile.idempotent))
@@ -564,7 +571,7 @@ def cmd_compat(ws, args, caps):
     o2 = _need(ws, "operators", args[1])
     alg = ws.algebra
     try:
-        degree, witness = optable.compat_witness(o1, o2, caps.subset_cap)
+        degree, witness = optable.compat_witness(o1, o2)
     except CapExceeded:
         report = laws.sampled_compat_search(o1, o2, caps.sample_count, caps.seed)
         return report.render().splitlines(), (
@@ -582,22 +589,22 @@ def _op_result(ws, label, op):
 
 def cmd_ll(ws, args, caps):
     op = _need(ws, "operators", args[0])
-    return _op_result(ws, f"LL({args[0]}):", optable.LL(op, caps.subset_cap))
+    return _op_result(ws, f"LL({args[0]}):", optable.LL(op))
 
 
 def cmd_rr(ws, args, caps):
     op = _need(ws, "operators", args[0])
-    return _op_result(ws, f"RR({args[0]}):", optable.RR(op, caps.subset_cap))
+    return _op_result(ws, f"RR({args[0]}):", optable.RR(op))
 
 
 def cmd_aa(ws, args, caps):
     op = _certified_for_command(ws, args[0], Reduction)
-    return _op_result(ws, f"AA({args[0]}):", AA(op, caps.subset_cap))
+    return _op_result(ws, f"AA({args[0]}):", AA(op))
 
 
 def cmd_jj(ws, args, caps):
     op = _certified_for_command(ws, args[0], Saturation)
-    return _op_result(ws, f"JJ({args[0]}):", JJ(op, caps.subset_cap))
+    return _op_result(ws, f"JJ({args[0]}):", JJ(op))
 
 
 def _certified_for_command(ws, opname, cls):
@@ -616,20 +623,19 @@ def _certified_for_command(ws, opname, cls):
 def cmd_galois(ws, args, caps):
     sat = _certified_for_command(ws, args[0], Saturation)
     red = _certified_for_command(ws, args[1], Reduction)
-    report = galois_check(sat, red, caps.subset_cap)
+    report = galois_check(sat, red)
     return report.render().splitlines(), EXIT_OK if report.ok else EXIT_LAW_FAILED
 
 
-def _workspace_stocks(ws, caps):
+def _workspace_stocks(ws):
     sats, reds = [], []
-    cap = caps.subset_cap
     for name in sorted(ws.operators):
         op = ws.operators[name]
-        profile = profile_of(op, cap)
+        profile = profile_of(op)
         if profile.is_saturation:
-            sats.append(Saturation.certify(op, cap=cap, name=name, profile=profile))
+            sats.append(Saturation.certify(op, name=name, profile=profile))
         if profile.is_reduction:
-            reds.append(Reduction.certify(op, cap=cap, name=name, profile=profile))
+            reds.append(Reduction.certify(op, name=name, profile=profile))
     return sats, reds
 
 
@@ -642,14 +648,14 @@ def cmd_laws(ws, args, caps):
             raise UnknownCommand(
                 f"unknown law suite {s!r}; known: {', '.join(laws.SUITES)}"
             )
-    sats, reds = _workspace_stocks(ws, caps)
+    sats, reds = _workspace_stocks(ws)
     lines = [
         f"law stock: {len(sats)} saturations, {len(reds)} reductions "
         "(from workspace operators)"
     ]
     status = EXIT_OK
     for s in suites:
-        report = laws.run_suite(s, sats, reds, caps.subset_cap)
+        report = laws.run_suite(s, sats, reds)
         lines.extend(report.render().splitlines())
         if not report.ok:
             status = EXIT_LAW_FAILED
@@ -658,12 +664,12 @@ def cmd_laws(ws, args, caps):
 
 def cmd_generate(ws, args, caps):
     ax = _need(ws, "axiom_sets", args[0])
-    sat = gen.generate_sat(ax, caps.subset_cap, name=f"A[{args[0]}]")
-    red = gen.generate_red(ax, caps.subset_cap, name=f"J[{args[0]}]")
-    btop.make(sat, red, cap=caps.subset_cap, name=args[0])  # compat(A, J) = top
+    sat = gen.generate_sat(ax, name=f"A[{args[0]}]")
+    red = gen.generate_red(ax, name=f"J[{args[0]}]")
+    btop.make(sat, red, name=args[0])  # compat(A, J) = top
     lines = [f"generated basic topology from {args[0]}:"]
     lines.append(f"  compat degree: {ws.algebra.name(ws.algebra.top)}")
-    agrees = optable.op_eq(JJ(sat, caps.subset_cap), red, caps.subset_cap)
+    agrees = optable.op_eq(JJ(sat), red)
     lines.append(f"  JJ(A) == J: {agrees}")
     # make keeps the certified A and J, so T = [A, J] is saturated, i.e.
     # equal to T^S = [A, JJ(A)], exactly when JJ(A) == J
@@ -678,10 +684,10 @@ def cmd_generate(ws, args, caps):
 def cmd_represent(ws, args, caps):
     r = _need(ws, "relations", args[0])
     lines = []
-    sym = rep.symmetry_check(r, caps.subset_cap)
+    sym = rep.symmetry_check(r)
     lines.extend(sym.render().splitlines())
-    t = rep.representable(r, caps.subset_cap)
-    reduced, _ = btop.is_reduced(t, caps.subset_cap)
+    t = rep.representable(r)
+    reduced, _ = btop.is_reduced(t)
     lines.append(f"representable({args[0]}): compat top, reduced: {reduced}")
     lines.append("  A = r-*r- table:")
     lines.extend(_op_listing(ws, t.sat))
@@ -693,7 +699,7 @@ def cmd_represent(ws, args, caps):
 
 def cmd_diagram(ws, args, caps):
     t = _need(ws, "topologies", args[0])
-    diagram = btop.five_node_diagram(t, caps.subset_cap)
+    diagram = btop.five_node_diagram(t)
     lines = diagram.to_dot().splitlines()
     ok = all(diagram.checks.values())
     return lines, EXIT_OK if ok else EXIT_LAW_FAILED
@@ -738,7 +744,8 @@ class Caps:
 
 
 def run(command, args, ws, caps=None):
-    """Dispatch one command; returns (text, exit_status)."""
+    """Dispatch one command under the subset cap caps.subset_cap; returns
+    (text, exit_status)."""
     caps = caps or Caps()
     try:
         handler, arity, needs_ws = COMMANDS[command]
@@ -750,64 +757,73 @@ def run(command, args, ws, caps=None):
         raise UnknownCommand(f"command {command!r} takes {arity} argument(s)")
     if needs_ws and ws is None:
         raise UnknownCommand(f"command {command!r} needs a workspace document (-d)")
-    lines, status = handler(ws, args, caps)
+    with hset.subset_cap(caps.subset_cap):
+        lines, status = handler(ws, args, caps)
     return "\n".join(lines) + "\n", status
 
 
-def _env_int(name, default):
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        return default
+# the integer options: flag, environment variable, default, least value, help
+_INT_OPTIONS = (
+    ("--subset-cap", "HEYTOP_SUBSET_CAP", hset.DEFAULT_SUBSET_CAP, 1,
+     "enumeration cap on the subset space"),
+    ("--sample-count", "HEYTOP_SAMPLE_COUNT", DEFAULT_SAMPLE_COUNT, 1,
+     "samples for randomized counterexample search above the cap"),
+    ("--seed", "HEYTOP_SEED", 0, None,
+     "seed for randomized search (always printed when used)"),
+)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
+def _usage_error(message):
+    """Report a usage error in one stderr line and exit with EXIT_USAGE."""
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        _usage_error(message)
+
+
+def _arguments(argv):
+    """The parsed command line; an integer option falls back to its
+    environment variable, which must then hold an integer."""
+    parser = _Parser(
         prog="heytop",
         description="saturations, reductions and basic topologies over "
         "finite Heyting-valued subset spaces",
     )
     parser.add_argument("-d", "--doc", help="workspace document file")
-    parser.add_argument(
-        "--subset-cap",
-        type=int,
-        default=_env_int("HEYTOP_SUBSET_CAP", hset.DEFAULT_SUBSET_CAP),
-        help="enumeration cap on the subset space",
-    )
-    parser.add_argument(
-        "--sample-count",
-        type=int,
-        default=_env_int("HEYTOP_SAMPLE_COUNT", DEFAULT_SAMPLE_COUNT),
-        help="samples for randomized counterexample search above the cap",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=_env_int("HEYTOP_SEED", 0),
-        help="seed for randomized search (always printed when used)",
-    )
+    for flag, var, default, _, text in _INT_OPTIONS:
+        value = os.environ.get(var)
+        if value is not None:
+            try:
+                default = int(value)
+            except ValueError:
+                _usage_error(f"{var} must be an integer, not {value!r}")
+        parser.add_argument(flag, type=int, default=default, help=text)
     parser.add_argument("command", help="command to run")
     parser.add_argument("args", nargs="*", help="command arguments")
+    ns = parser.parse_args(argv)
+    for flag, var, _, least, _ in _INT_OPTIONS:
+        value = getattr(ns, flag[2:].replace("-", "_"))
+        if least is not None and value < least:
+            _usage_error(f"{flag} (or {var}) must be at least {least}, not {value}")
+    return ns
+
+
+def main(argv=None):
     try:
-        ns = parser.parse_args(argv)
+        ns = _arguments(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-
-    if ns.subset_cap < 1:
-        sys.stderr.write(
-            "error: --subset-cap (or HEYTOP_SUBSET_CAP) must be at least 1, "
-            f"not {ns.subset_cap}\n"
-        )
-        return EXIT_USAGE
     caps = Caps(ns.subset_cap, ns.sample_count, ns.seed)
     ws = None
     try:
         if ns.doc:
             with open(ns.doc, encoding="utf-8") as fh:
-                ws = parse_document(fh.read())
+                source = fh.read()
+            with hset.subset_cap(max(hset.DEFAULT_SUBSET_CAP, caps.subset_cap)):
+                ws = parse_document(source)
         text, status = run(ns.command, ns.args, ws, caps)
         sys.stdout.write(text)
         return status

@@ -85,7 +85,7 @@ class _Certified(Operator):
 
     def __init__(
         self, algebra, carrier, fn, name=None, *,
-        cap=None, trusted=False, ranks=None, profile=None,
+        trusted=False, ranks=None, profile=None,
     ):
         """``ranks`` as for Operator; ``profile`` is classify's verdict on
         this very rank table, when the caller has it already."""
@@ -93,11 +93,11 @@ class _Certified(Operator):
         if trusted:
             self.certificate = BY_CONSTRUCTION
         else:
-            self.certificate = self._check(cap, profile)
+            self.certificate = self._check(profile)
 
-    def _check(self, cap, profile):
+    def _check(self, profile):
         if profile is None:
-            profile = classify(self, cap)
+            profile = classify(self)
         for flagname in self.REQUIRED:
             flag = getattr(profile, flagname)
             if not flag.holds:
@@ -110,13 +110,13 @@ class _Certified(Operator):
                 )
         return profile
 
-    def re_verify(self, cap=None):
+    def re_verify(self):
         """Run classify afresh and confirm the certificate still holds."""
-        profile = classify(self, cap)
+        profile = classify(self)
         return all(getattr(profile, f).holds for f in self.REQUIRED)
 
     @classmethod
-    def certify(cls, op, cap=None, *, trusted=False, name=None, profile=None):
+    def certify(cls, op, *, trusted=False, name=None, profile=None):
         """Wrap an existing operator, verifying (or trusting) its profile.
 
         A tabulated operator hands over its rank table, so nothing is
@@ -128,21 +128,22 @@ class _Certified(Operator):
             op.carrier,
             op.apply,
             name=name or op.name,
-            cap=cap,
             trusted=trusted,
             ranks=op._ranks,
             profile=profile,
         )
 
 
-def profile_of(op, cap=None):
+def profile_of(op):
     """classify's profile of op: its certificate when that is a verified
     profile (the certificate holds for op's own rank table), else a fresh
-    classify.  CapExceeded when the space is above the cap either way."""
+    classify.  CapExceeded either way when the space is above the subset cap
+    in force, so a command answers or refuses alike whether op was certified
+    or not."""
     if isinstance(getattr(op, "certificate", None), OperatorProfile):
-        hset.check_cap(op.algebra, op.carrier, cap)
+        hset.check_cap(op.algebra, op.carrier)
         return op.certificate
-    return classify(op, cap)
+    return classify(op)
 
 
 class Saturation(_Certified):
@@ -161,7 +162,7 @@ class Reduction(_Certified):
     REQUIRED = ("monotone", "idempotent", "contractive")
 
 
-def from_family_sat(family, *, algebra=None, carrier=None, cap=None, name=None):
+def from_family_sat(family, *, algebra=None, carrier=None, name=None):
     """Saturation generated by a family:
     A_P U (a) = meet over V in P of  incl(U, V) -> V(a).
 
@@ -172,56 +173,56 @@ def from_family_sat(family, *, algebra=None, carrier=None, cap=None, name=None):
     gives the top operator.
     """
     family = list(family)
-    sp, weights = _family_weights(family, algebra, carrier, cap)
+    sp, weights = _family_weights(family, algebra, carrier)
     if name is None:
         name = "A_P[" + ",".join(v.render() for v in family) + "]"
-    return weighted_saturation(sp, weights, cap=cap, name=name)
+    return weighted_saturation(sp, weights, name=name)
 
 
-def from_family_red(family, *, algebra=None, carrier=None, cap=None, name=None):
+def from_family_red(family, *, algebra=None, carrier=None, name=None):
     """Greatest reduction fixing every member of the family:
     J_P U (a) = join over V in P of  incl(V, U) /\\ V(a).
 
     The empty family gives the bot operator.
     """
     family = list(family)
-    sp, weights = _family_weights(family, algebra, carrier, cap)
+    sp, weights = _family_weights(family, algebra, carrier)
     if name is None:
         name = "J_P[" + ",".join(v.render() for v in family) + "]"
-    return weighted_reduction(sp, weights, cap=cap, name=name)
+    return weighted_reduction(sp, weights, name=name)
 
 
-def _family_weights(family, algebra, carrier, cap):
+def _family_weights(family, algebra, carrier):
     """The family's Space and its weights: top at each member's rank, else bot."""
     algebra, carrier = hset.family_context(family, algebra, carrier)
-    sp = hset.space(algebra, carrier, cap)
+    sp = hset.space(algebra, carrier)
     weights = [algebra.bot] * len(sp.subs)
     for v in family:
         weights[hset.subset_rank(v)] = algebra.top
     return sp, weights
 
 
-def AA(red, cap=None, name=None):
+def AA(red, *, name=None):
     """Greatest saturation compatible with the given reduction: LL(J)."""
-    op = LL(red, cap)
+    op = LL(red)
     if name is None:
         name = f"AA({red.name or '?'})"
-    return Saturation.certify(op, cap=cap, name=name)
+    return Saturation.certify(op, name=name)
 
 
-def JJ(sat, cap=None, name=None):
+def JJ(sat, *, name=None):
     """Greatest reduction compatible with the given operator.
 
     Accepts any operator (the splitting formula never needs the argument
     to be a saturation), which is what the union-to-meet law exploits.
     """
-    sp = hset.space(sat.algebra, sat.carrier, cap)
+    sp = hset.space(sat.algebra, sat.carrier)
     if name is None:
         name = f"JJ({sat.name or '?'})"
-    return weighted_reduction(sp, splits_vector(sat, cap), cap=cap, name=name)
+    return weighted_reduction(sp, splits_vector(sat), name=name)
 
 
-def weighted_saturation(space, weights, *, cap=None, name=None):
+def weighted_saturation(space, weights, *, name=None):
     """The saturation  A U (a) = meet over P of (incl(U, P) /\\ w(P)) -> P(a),
     given one weight w(P) per rank of P in the hset.Space.
 
@@ -231,11 +232,11 @@ def weighted_saturation(space, weights, *, cap=None, name=None):
     """
     ranks = space.ranks(space.up(space.saturation_seed(weights)))
     return Saturation(
-        space.algebra, space.carrier, None, name=name, cap=cap, ranks=ranks
+        space.algebra, space.carrier, None, name=name, ranks=ranks
     )
 
 
-def weighted_reduction(space, weights, *, cap=None, name=None):
+def weighted_reduction(space, weights, *, name=None):
     """The reduction  J V (a) = join over Z of incl(Z, V) /\\ w(Z) /\\ Z(a),
     given one weight w(Z) per rank of Z in the hset.Space.
 
@@ -246,30 +247,30 @@ def weighted_reduction(space, weights, *, cap=None, name=None):
     """
     ranks = space.ranks(space.down(space.reduction_seed(weights)))
     return Reduction(
-        space.algebra, space.carrier, None, name=name, cap=cap, ranks=ranks
+        space.algebra, space.carrier, None, name=name, ranks=ranks
     )
 
 
-def meet_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
+def meet_saturations(sats, *, algebra=None, carrier=None, name=None):
     """Pointwise meet, re-certified; the empty meet is the top saturation.
 
     This is the meet in SAT(S): saturations form a sub-inflattice of the
     operator lattice, so the pointwise meet is already a saturation.
     """
     op = optable.pointwise_meet(sats, algebra=algebra, carrier=carrier, name=name)
-    return Saturation.certify(op, cap=cap)
+    return Saturation.certify(op)
 
 
-def join_reductions(reds, *, algebra=None, carrier=None, cap=None, name=None):
+def join_reductions(reds, *, algebra=None, carrier=None, name=None):
     """Pointwise join, re-certified; the empty join is the bot reduction.
 
     This is the join in RED(S): reductions form a sub-suplattice.
     """
     op = optable.pointwise_join(reds, algebra=algebra, carrier=carrier, name=name)
-    return Reduction.certify(op, cap=cap)
+    return Reduction.certify(op)
 
 
-def join_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
+def join_saturations(sats, *, algebra=None, carrier=None, name=None):
     """Join in SAT(S): the least saturation above every member.
 
     Unlike meets, joins of saturations are not pointwise (the pointwise
@@ -279,11 +280,11 @@ def join_saturations(sats, *, algebra=None, carrier=None, cap=None, name=None):
     """
     sats = list(sats)
     algebra, carrier = hset.family_context(sats, algebra, carrier)
-    fam = _common_fixed_points(sats, algebra, carrier, cap)
-    return from_family_sat(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)
+    fam = _common_fixed_points(sats, algebra, carrier)
+    return from_family_sat(fam, algebra=algebra, carrier=carrier, name=name)
 
 
-def meet_reductions(reds, *, algebra=None, carrier=None, cap=None, name=None):
+def meet_reductions(reds, *, algebra=None, carrier=None, name=None):
     """Meet in RED(S): the greatest reduction below every member.
 
     Dually to join_saturations this is not pointwise; it is generated from
@@ -292,26 +293,26 @@ def meet_reductions(reds, *, algebra=None, carrier=None, cap=None, name=None):
     """
     reds = list(reds)
     algebra, carrier = hset.family_context(reds, algebra, carrier)
-    fam = _common_fixed_points(reds, algebra, carrier, cap)
-    return from_family_red(fam, algebra=algebra, carrier=carrier, cap=cap, name=name)
+    fam = _common_fixed_points(reds, algebra, carrier)
+    return from_family_red(fam, algebra=algebra, carrier=carrier, name=name)
 
 
-def _common_fixed_points(ops, algebra, carrier, cap):
+def _common_fixed_points(ops, algebra, carrier):
     """The subsets every operator fixes, read from the rank tables."""
-    subs = hset.enumerate_all(algebra, carrier, cap)
-    tables = [o.rank_table(cap) for o in ops]
+    subs = hset.enumerate_all(algebra, carrier)
+    tables = [o.rank_table() for o in ops]
     return [u for r, u in enumerate(subs) if all(t[r] == r for t in tables)]
 
 
-def galois_check(sat, red, cap=None):
+def galois_check(sat, red):
     """Report the three degrees [A in AA(J)], [A compat J], [J in JJ(A)].
 
     The Galois law holds exactly when the three coincide as elements.
     """
     alg = sat.algebra
-    d_compat, wit = optable.compat_witness(sat, red, cap)
-    d_sat = optable.op_incl_degree(sat, AA(red, cap), cap)
-    d_red = optable.op_incl_degree(red, JJ(sat, cap), cap)
+    d_compat, wit = optable.compat_witness(sat, red)
+    d_sat = optable.op_incl_degree(sat, AA(red))
+    d_red = optable.op_incl_degree(red, JJ(sat))
     coincide = d_sat == d_compat == d_red
     details = {
         "sat-into-AA(red)": alg.name(d_sat),
@@ -331,7 +332,7 @@ def galois_check(sat, red, cap=None):
     )
 
 
-def positivity_law(red, cap=None):
+def positivity_law(red):
     """Degree of  ((a in J S -> a in AA(J) U) -> a in AA(J) U)  over all (a, U).
 
     Proved intuitionistically for every reduction, so the report must come
@@ -339,8 +340,8 @@ def positivity_law(red, cap=None):
     """
     alg = red.algebra
     carrier = red.carrier
-    subs = hset.enumerate_all(alg, carrier, cap)
-    aa = AA(red, cap)
+    subs = hset.enumerate_all(alg, carrier)
+    aa = AA(red)
     js = red.apply(hset.full(alg, carrier))
     mt, it = alg.meet_table, alg.imp_table
     lt = alg.leq_table

@@ -90,24 +90,25 @@ def splits_axioms_degree(z, ax):
     return acc
 
 
-def generate_sat(ax, cap=None, name=None):
+def generate_sat(ax, *, name=None):
     """The saturation A_{I,C} generated inductively by the axiom-set.
 
-    Boolean mode: least fixed point by worklist iteration (no cap needed;
-    the result provably equals the meet over fulfilling supersets).
+    Boolean mode: least fixed point by worklist iteration, at any size (it
+    never enumerates the subset space; the result provably equals the meet
+    over fulfilling supersets).
     Otherwise:  A U (a) = meet over P of (incl(U,P) /\\ fulfills(P)) -> P(a).
     """
     if name is None:
         name = "A_gen"
     if ax.algebra.is_boolean:
-        return _boolean_fixpoint(ax, Saturation, cap, name)
-    sp = hset.space(ax.algebra, ax.carrier, cap)
+        return _boolean_fixpoint(ax, Saturation, name)
+    sp = hset.space(ax.algebra, ax.carrier)
     if ax._fulfills is None:
         ax._fulfills = tuple(fulfills_degree(p, ax) for p in sp.subs)
-    return weighted_saturation(sp, ax._fulfills, cap=cap, name=name)
+    return weighted_saturation(sp, ax._fulfills, name=name)
 
 
-def generate_red(ax, cap=None, name=None):
+def generate_red(ax, *, name=None):
     """The reduction J_{I,C} generated coinductively by the axiom-set.
 
     Boolean mode: greatest fixed point by downward iteration, deleting
@@ -118,14 +119,14 @@ def generate_red(ax, cap=None, name=None):
     if name is None:
         name = "J_gen"
     if ax.algebra.is_boolean:
-        return _boolean_fixpoint(ax, Reduction, cap, name)
-    sp = hset.space(ax.algebra, ax.carrier, cap)
+        return _boolean_fixpoint(ax, Reduction, name)
+    sp = hset.space(ax.algebra, ax.carrier)
     if ax._splits is None:
         ax._splits = tuple(splits_axioms_degree(z, ax) for z in sp.subs)
-    return weighted_reduction(sp, ax._splits, cap=cap, name=name)
+    return weighted_reduction(sp, ax._splits, name=name)
 
 
-def _boolean_fixpoint(ax, kind, cap, name):
+def _boolean_fixpoint(ax, kind, name):
     """Boolean generation by worklist, for kind Saturation or Reduction.
 
     The saturation adds each point one of whose covers lies inside the
@@ -133,8 +134,9 @@ def _boolean_fixpoint(ax, kind, cap, name):
     one of whose covers misses the current set; a cover misses the set
     exactly when it lies inside the complement, so the reduction is the
     same growth run on the complement of its argument, complemented back.
-    Covers weighted below top drop out.  Above the cap the result is
-    trusted by construction, since classify cannot enumerate the space.
+    Covers weighted below top drop out.  The result is verified by classify
+    when the space is within the subset cap in force (hset.within_cap), and
+    trusted by construction otherwise, since classify cannot enumerate it.
     """
     alg = ax.algebra
     carrier = ax.carrier
@@ -159,13 +161,11 @@ def _boolean_fixpoint(ax, kind, cap, name):
             alg, carrier, (top if (i in cur) == grow else bot for i in range(len(carrier)))
         )
 
-    within = hset.space_size(alg, carrier) <= (
-        hset.DEFAULT_SUBSET_CAP if cap is None else cap
-    )
-    return kind(alg, carrier, fn, name=name, cap=cap, trusted=not within)
+    trusted = not hset.within_cap(alg, carrier)
+    return kind(alg, carrier, fn, name=name, trusted=trusted)
 
 
-def axioms_from_saturation(sat, cap=None):
+def axioms_from_saturation(sat):
     """Extract an axiom-set whose generated saturation reproduces the input.
 
     Boolean mode takes as covers of a exactly the U with a in A(U), so the
@@ -174,7 +174,7 @@ def axioms_from_saturation(sat, cap=None):
     """
     alg = sat.algebra
     carrier = sat.carrier
-    subs = hset.enumerate_all(alg, carrier, cap)
+    subs = hset.enumerate_all(alg, carrier)
     axioms = []
     for u in subs:
         out = sat.apply(u)

@@ -8,16 +8,26 @@ operations are pure.
 Enumeration order is lexicographic over (point index, algebra element
 index), i.e. itertools.product order, and is fixed so that golden tests
 and report output stay stable.
+
+Enumerating a subset space is bounded by one cap, the subset cap in force:
+DEFAULT_SUBSET_CAP unless a ``subset_cap(n)`` block sets another.  Every
+quantified computation of the library reads its space through ``space``
+(or ``enumerate_all``), which raises CapExceeded above that cap; no other
+function takes or passes a cap.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import operator
 
 from .errors import CapExceeded, ContextMismatch
 
 DEFAULT_SUBSET_CAP = 4096
+
+_cap_in_force = contextvars.ContextVar("subset_cap", default=DEFAULT_SUBSET_CAP)
 
 
 class Carrier:
@@ -220,9 +230,28 @@ def space_size(algebra, carrier):
     return len(algebra) ** len(carrier)
 
 
-def check_cap(algebra, carrier, cap=None):
-    cap = DEFAULT_SUBSET_CAP if cap is None else cap
+@contextlib.contextmanager
+def subset_cap(n):
+    """Make n the subset cap in force inside the with block; the previous
+    cap is back on exit, normal or not.  Blocks nest."""
+    if n < 1:
+        raise ValueError(f"subset cap must be at least 1, not {n}")
+    token = _cap_in_force.set(n)
+    try:
+        yield
+    finally:
+        _cap_in_force.reset(token)
+
+
+def within_cap(algebra, carrier):
+    """Whether the subset space of (algebra, carrier) is within the cap in force."""
+    return space_size(algebra, carrier) <= _cap_in_force.get()
+
+
+def check_cap(algebra, carrier):
+    """The size of the subset space; CapExceeded when above the cap in force."""
     size = space_size(algebra, carrier)
+    cap = _cap_in_force.get()
     if size > cap:
         raise CapExceeded(
             f"subset space has {size} elements, above the cap of {cap}"
@@ -419,18 +448,27 @@ class Space:
         return vals
 
 
-def space(algebra, carrier, cap=None):
-    """The Space of (algebra, carrier), cached on the carrier.  CapExceeded if big."""
-    check_cap(algebra, carrier, cap)
+def space(algebra, carrier):
+    """The Space of (algebra, carrier), cached on the carrier.  CapExceeded
+    when it is above the cap in force."""
+    check_cap(algebra, carrier)
+    return held_space(algebra, carrier)
+
+
+def held_space(algebra, carrier):
+    """The Space of (algebra, carrier), cached on the carrier, with no cap
+    check: for a caller holding proof that the space was within a cap, such
+    as an operator's rank table."""
     sp = carrier._space
     if sp is None or sp.algebra is not algebra:
         sp = carrier._space = Space(algebra, carrier)
     return sp
 
 
-def enumerate_all(algebra, carrier, cap=None):
-    """All HSubsets over (algebra, carrier), in fixed lexicographic order."""
-    return space(algebra, carrier, cap).subs
+def enumerate_all(algebra, carrier):
+    """All HSubsets over (algebra, carrier), in fixed lexicographic order.
+    CapExceeded when the space is above the cap in force."""
+    return space(algebra, carrier).subs
 
 
 def subset_rank(u):

@@ -60,15 +60,15 @@ def _aggregate(law, instances):
     return LawReport(law=law, status=HOLDS, details={"instances": str(count)})
 
 
-def law_galois(sats, reds, cap=None):
+def law_galois(sats, reds):
     def gen():
-        aas = {id(j): AA(j, cap) for j in reds}
-        jjs = {id(a): JJ(a, cap) for a in sats}
+        aas = {id(j): AA(j) for j in reds}
+        jjs = {id(a): JJ(a) for a in sats}
         for a in sats:
             for j in reds:
-                d_compat = compat_degree(a, j, cap)
-                d_sat = op_incl_degree(a, aas[id(j)], cap)
-                d_red = op_incl_degree(j, jjs[id(a)], cap)
+                d_compat = compat_degree(a, j)
+                d_sat = op_incl_degree(a, aas[id(j)])
+                d_red = op_incl_degree(j, jjs[id(a)])
                 yield (
                     f"({a.name or '?'}, {j.name or '?'})",
                     d_sat == d_compat == d_red,
@@ -77,66 +77,66 @@ def law_galois(sats, reds, cap=None):
     return _aggregate("galois", gen())
 
 
-def law_positivity(reds, cap=None):
+def law_positivity(reds):
     def gen():
         for j in reds:
-            rep = positivity_law(j, cap)
+            rep = positivity_law(j)
             yield j.name or "?", rep.ok
 
     return _aggregate("positivity", gen())
 
 
-def law_antitone(sats, reds, cap=None):
+def law_antitone(sats, reds):
     """incl(J1,J2) <= incl(AA(J2),AA(J1)) and dually, as internal degrees."""
     instances = []
-    aas = {id(j): AA(j, cap) for j in reds}
+    aas = {id(j): AA(j) for j in reds}
     for j1 in reds:
         for j2 in reds:
             alg = j1.algebra
             d = alg.imp(
-                op_incl_degree(j1, j2, cap),
-                op_incl_degree(aas[id(j2)], aas[id(j1)], cap),
+                op_incl_degree(j1, j2),
+                op_incl_degree(aas[id(j2)], aas[id(j1)]),
             )
             instances.append((f"AA: ({j1.name or '?'}, {j2.name or '?'})", d == alg.top))
-    jjs = {id(a): JJ(a, cap) for a in sats}
+    jjs = {id(a): JJ(a) for a in sats}
     for a1 in sats:
         for a2 in sats:
             alg = a1.algebra
             d = alg.imp(
-                op_incl_degree(a1, a2, cap),
-                op_incl_degree(jjs[id(a2)], jjs[id(a1)], cap),
+                op_incl_degree(a1, a2),
+                op_incl_degree(jjs[id(a2)], jjs[id(a1)]),
             )
             instances.append((f"JJ: ({a1.name or '?'}, {a2.name or '?'})", d == alg.top))
     return _aggregate("antitone", instances)
 
 
-def law_unit(sats, reds, cap=None):
+def law_unit(sats, reds):
     def gen():
         for a in sats:
             alg = a.algebra
-            d = op_incl_degree(a, AA(JJ(a, cap), cap), cap)
+            d = op_incl_degree(a, AA(JJ(a)))
             yield f"A in AAJJ(A): {a.name or '?'}", d == alg.top
         for j in reds:
             alg = j.algebra
-            d = op_incl_degree(j, JJ(AA(j, cap), cap), cap)
+            d = op_incl_degree(j, JJ(AA(j)))
             yield f"J in JJAA(J): {j.name or '?'}", d == alg.top
 
     return _aggregate("unit", gen())
 
 
-def law_triangle(sats, reds, cap=None):
+def law_triangle(sats, reds):
     def gen():
         for j in reds:
-            aa = AA(j, cap)
-            yield f"AAJJAA = AA: {j.name or '?'}", op_eq(AA(JJ(aa, cap), cap), aa, cap)
+            aa = AA(j)
+            yield f"AAJJAA = AA: {j.name or '?'}", op_eq(AA(JJ(aa)), aa)
         for a in sats:
-            jj = JJ(a, cap)
-            yield f"JJAAJJ = JJ: {a.name or '?'}", op_eq(JJ(AA(jj, cap), cap), jj, cap)
+            jj = JJ(a)
+            yield f"JJAAJJ = JJ: {a.name or '?'}", op_eq(JJ(AA(jj)), jj)
 
     return _aggregate("triangle", gen())
 
 
-def law_union_to_meet(sats, reds, cap=None):
+def law_union_to_meet(sats, reds):
     """AA of a RED-join is the pointwise meet of the AAs; JJ of a SAT-join
     is the RED-meet of the JJs.
 
@@ -148,25 +148,25 @@ def law_union_to_meet(sats, reds, cap=None):
     """
 
     def gen():
-        aas = [AA(j, cap) for j in reds]
+        aas = [AA(j) for j in reds]
         for i, (j1, aa1) in enumerate(zip(reds, aas)):
             for j2, aa2 in zip(reds[i:], aas[i:]):
-                joined = join_reductions([j1, j2], cap=cap)
-                lhs = AA(joined, cap)
+                joined = join_reductions([j1, j2])
+                lhs = AA(joined)
                 rhs = pointwise_meet([aa1, aa2])
-                yield f"AA: ({j1.name or '?'}, {j2.name or '?'})", op_eq(lhs, rhs, cap)
-        jjs = [JJ(a, cap) for a in sats]
+                yield f"AA: ({j1.name or '?'}, {j2.name or '?'})", op_eq(lhs, rhs)
+        jjs = [JJ(a) for a in sats]
         for i, (a1, jj1) in enumerate(zip(sats, jjs)):
             for a2, jj2 in zip(sats[i:], jjs[i:]):
-                joined = join_saturations([a1, a2], cap=cap)
-                lhs = JJ(joined, cap)
-                rhs = meet_reductions([jj1, jj2], cap=cap)
-                yield f"JJ: ({a1.name or '?'}, {a2.name or '?'})", op_eq(lhs, rhs, cap)
+                joined = join_saturations([a1, a2])
+                lhs = JJ(joined)
+                rhs = meet_reductions([jj1, jj2])
+                yield f"JJ: ({a1.name or '?'}, {a2.name or '?'})", op_eq(lhs, rhs)
 
     return _aggregate("union-to-meet", gen())
 
 
-def law_compat_union(ops, cap=None):
+def law_compat_union(ops):
     """compat(O,O1) /\\ compat(O,O2) <= compat(O, O1 v O2), and the
     mirror-image law for joins on the left."""
 
@@ -176,7 +176,7 @@ def law_compat_union(ops, cap=None):
         def cd(x, y):
             key = (id(x), id(y))
             if key not in memo:
-                memo[key] = compat_degree(x, y, cap)
+                memo[key] = compat_degree(x, y)
             return memo[key]
 
         for o in ops:
@@ -185,16 +185,16 @@ def law_compat_union(ops, cap=None):
                 for o2 in ops[i:]:
                     joined = pointwise_join([o1, o2])
                     lhs = alg.meet(cd(o, o1), cd(o, o2))
-                    ok = alg.leq(lhs, compat_degree(o, joined, cap))
+                    ok = alg.leq(lhs, compat_degree(o, joined))
                     yield f"right: ({o.name}, {o1.name}, {o2.name})", ok
                     lhs2 = alg.meet(cd(o1, o), cd(o2, o))
-                    ok2 = alg.leq(lhs2, compat_degree(joined, o, cap))
+                    ok2 = alg.leq(lhs2, compat_degree(joined, o))
                     yield f"left: ({o1.name}, {o2.name}, {o.name})", ok2
 
     return _aggregate("compat-union", gen())
 
 
-def law_trentinaglia(ops, cap=None):
+def law_trentinaglia(ops):
     """The three compatibility-shrinking laws, as internal degrees:
     1. incl(O'',O) /\\ compat(O,O') <= compat(O'',O')
     2. compat(O,O') /\\ compat(O'',O') <= compat(OO'',O')
@@ -207,7 +207,7 @@ def law_trentinaglia(ops, cap=None):
         def cd(x, y):
             key = (id(x), id(y))
             if key not in memo:
-                memo[key] = compat_degree(x, y, cap)
+                memo[key] = compat_degree(x, y)
             return memo[key]
 
         for o in ops:
@@ -215,34 +215,34 @@ def law_trentinaglia(ops, cap=None):
             for o1 in ops:
                 base = cd(o, o1)
                 for o2 in ops:
-                    lhs1 = alg.meet(op_incl_degree(o2, o, cap), base)
+                    lhs1 = alg.meet(op_incl_degree(o2, o), base)
                     ok1 = alg.leq(lhs1, cd(o2, o1))
                     yield f"shrink-left: ({o.name},{o1.name},{o2.name})", ok1
                     lhs2 = alg.meet(base, cd(o2, o1))
-                    ok2 = alg.leq(lhs2, compat_degree(compose(o, o2), o1, cap))
+                    ok2 = alg.leq(lhs2, compat_degree(compose(o, o2), o1))
                     yield f"compose-left: ({o.name},{o1.name},{o2.name})", ok2
-                    ok3 = alg.leq(base, compat_degree(o, compose(o1, o2), cap))
+                    ok3 = alg.leq(base, compat_degree(o, compose(o1, o2)))
                     yield f"compose-right: ({o.name},{o1.name},{o2.name})", ok3
 
     return _aggregate("trentinaglia", gen())
 
 
-def _fix_degree(op, u, cap=None):
+def _fix_degree(op, u):
     return hset.eq_degree(op.apply(u), u)
 
 
-def law_sat_order_equivalences(sats, cap=None):
+def law_sat_order_equivalences(sats):
     """A1 in A2, A2A1 = A2, A1A2 = A2 and Fix(A2) in Fix(A1) carry one
     degree for every saturation pair."""
 
     def gen():
         for a1 in sats:
             alg = a1.algebra
-            subs = hset.enumerate_all(alg, a1.carrier, cap)
+            subs = hset.enumerate_all(alg, a1.carrier)
             for a2 in sats:
-                d1 = op_incl_degree(a1, a2, cap)
-                d2 = op_eq_degree(compose(a2, a1), a2, cap)
-                d3 = op_eq_degree(compose(a1, a2), a2, cap)
+                d1 = op_incl_degree(a1, a2)
+                d2 = op_eq_degree(compose(a2, a1), a2)
+                d3 = op_eq_degree(compose(a1, a2), a2)
                 d4 = alg.big_meet(
                     alg.imp(_fix_degree(a2, u), _fix_degree(a1, u)) for u in subs
                 )
@@ -254,17 +254,17 @@ def law_sat_order_equivalences(sats, cap=None):
     return _aggregate("sat-order-equivalences", gen())
 
 
-def law_red_order_equivalences(reds, cap=None):
+def law_red_order_equivalences(reds):
     """J1 in J2, J1J2 = J1, J2J1 = J1 and Fix(J1) in Fix(J2), dually."""
 
     def gen():
         for j1 in reds:
             alg = j1.algebra
-            subs = hset.enumerate_all(alg, j1.carrier, cap)
+            subs = hset.enumerate_all(alg, j1.carrier)
             for j2 in reds:
-                d1 = op_incl_degree(j1, j2, cap)
-                d2 = op_eq_degree(compose(j1, j2), j1, cap)
-                d3 = op_eq_degree(compose(j2, j1), j1, cap)
+                d1 = op_incl_degree(j1, j2)
+                d2 = op_eq_degree(compose(j1, j2), j1)
+                d3 = op_eq_degree(compose(j2, j1), j1)
                 d4 = alg.big_meet(
                     alg.imp(_fix_degree(j1, u), _fix_degree(j2, u)) for u in subs
                 )
@@ -277,23 +277,23 @@ def law_red_order_equivalences(reds, cap=None):
 
 
 SUITES = {
-    "galois": lambda sats, reds, cap: law_galois(sats, reds, cap),
-    "positivity": lambda sats, reds, cap: law_positivity(reds, cap),
-    "antitone": lambda sats, reds, cap: law_antitone(sats, reds, cap),
-    "unit": lambda sats, reds, cap: law_unit(sats, reds, cap),
-    "triangle": lambda sats, reds, cap: law_triangle(sats, reds, cap),
-    "union-to-meet": lambda sats, reds, cap: law_union_to_meet(sats, reds, cap),
+    "galois": law_galois,
+    "positivity": lambda sats, reds: law_positivity(reds),
+    "antitone": law_antitone,
+    "unit": law_unit,
+    "triangle": law_triangle,
+    "union-to-meet": law_union_to_meet,
 }
 
 
-def run_suite(suite, sats, reds, cap=None):
+def run_suite(suite, sats, reds):
     try:
         runner = SUITES[suite]
     except KeyError:
         raise KeyError(
             f"unknown law suite {suite!r}; known: {', '.join(SUITES)}"
         ) from None
-    return runner(list(sats), list(reds), cap)
+    return runner(list(sats), list(reds))
 
 
 def random_subset(algebra, carrier, rng):

@@ -2,10 +2,13 @@
 
 An Operator is a total map from HSubsets to HSubsets over a fixed
 (algebra, carrier) context.  Bodies are either rules (closures) or
-explicit tables.  Whole operators are tabulated eagerly, as a table of
-output ranks, whenever the subset space is within the cap, which makes
-application, extensional equality and the quantified degree computations
-cheap; above it every application runs the body.
+explicit tables.  An operator is tabulated eagerly, as a table of output
+ranks, when it is built while its subset space is within the subset cap
+in force (hset.subset_cap), which makes application, extensional
+equality and the quantified degree computations cheap; otherwise every
+application runs the body.  A table, once made, is the operator: applying
+it reads the space with no cap check, since the table proves the space
+was within a cap when it was made.
 
 The compatibility degree of O with O' is the meet over all subset pairs
 (U, V) of  overlap(O U, O' V) -> overlap(U, O' V);  in Boolean mode this
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 from . import hset
 from .errors import ContextMismatch
-from .hset import HSubset, enumerate_all, space_size
+from .hset import HSubset, enumerate_all
 
 
 class Operator:
@@ -54,9 +57,6 @@ class Operator:
 
     __slots__ = ("algebra", "carrier", "name", "_fn", "_ranks")
 
-    #: spaces at most this large are tabulated eagerly at construction
-    TABULATE_LIMIT = hset.DEFAULT_SUBSET_CAP
-
     def __init__(self, algebra, carrier, fn, name=None, *, ranks=None):
         """``ranks``, when given, is the operator's rank table; fn is then
         never called and may be None."""
@@ -65,7 +65,7 @@ class Operator:
         self.name = name
         self._fn = fn
         self._ranks = None if ranks is None else tuple(ranks)
-        if self._ranks is None and space_size(algebra, carrier) <= self.TABULATE_LIMIT:
+        if self._ranks is None and hset.within_cap(algebra, carrier):
             self.rank_table()
 
     def __repr__(self):
@@ -75,7 +75,7 @@ class Operator:
         if u.algebra is not self.algebra or u.carrier is not self.carrier:
             raise ContextMismatch("operator applied outside its context")
         if self._ranks is not None:
-            subs = enumerate_all(self.algebra, self.carrier)
+            subs = hset.held_space(self.algebra, self.carrier).subs
             return subs[self._ranks[hset.subset_rank(u)]]
         return self._run(u)
 
@@ -90,10 +90,12 @@ class Operator:
             raise ContextMismatch("operator body produced a foreign value")
         return got
 
-    def rank_table(self, cap=None):
-        """Outputs as subset ranks, indexed by input rank.  CapExceeded if big."""
+    def rank_table(self):
+        """Outputs as subset ranks, indexed by input rank.  Made on the first
+        call, which raises CapExceeded when the space is above the subset cap
+        in force; once made, returned whatever the cap."""
         if self._ranks is None:
-            subs = enumerate_all(self.algebra, self.carrier, cap)
+            subs = enumerate_all(self.algebra, self.carrier)
             self._ranks = tuple(hset.subset_rank(self._run(u)) for u in subs)
         return self._ranks
 
@@ -206,9 +208,9 @@ def pointwise_meet(ops, *, algebra=None, carrier=None, name=None):
     return Operator(algebra, carrier, fn, name=name)
 
 
-def tabulated_op(algebra, carrier, mapping, name=None, cap=None):
+def tabulated_op(algebra, carrier, mapping, name=None):
     """Operator from an explicit input -> output table; must be total."""
-    subs = enumerate_all(algebra, carrier, cap)
+    subs = enumerate_all(algebra, carrier)
     table = {}
     for u, v in mapping.items():
         if (
@@ -259,7 +261,7 @@ class OperatorProfile:
         return self.monotone.holds and self.idempotent.holds and self.contractive.holds
 
 
-def classify(op, cap=None):
+def classify(op):
     """Verify or refute the four profile flags over the whole subset space.
 
     Subsets are compared as bit-planes.  Monotonicity is verified on the
@@ -270,9 +272,9 @@ def classify(op, cap=None):
     in the fixed enumeration order: the first failing pair (U, V) for
     monotonicity, the first failing U otherwise.
     """
-    sp = hset.space(op.algebra, op.carrier, cap)
+    sp = hset.space(op.algebra, op.carrier)
     subs, planes = sp.subs, sp.planes
-    ranks = op.rank_table(cap)
+    ranks = op.rank_table()
 
     monotone = Flag(True)
     if not _monotone_on_covers(sp, ranks):
@@ -341,23 +343,23 @@ def _image(table):
     return [(v, r) for r, v in first.items()]
 
 
-def _image_splits(o1, o2, cap):
+def _image_splits(o1, o2):
     """The space, the image of O2 (as _image gives it) and splits(W, O1)
     at each W in it; compat(O1, O2) is the meet of the latter (galois,
     identity 5)."""
     _same_op_context(o1, o2)
-    sp, g = _lower_join(o1, cap)
-    image = _image(o2.rank_table(cap))
+    sp, g = _lower_join(o1)
+    image = _image(o2.rank_table())
     return sp, image, _splits_at(sp, g, [w for _, w in image])
 
 
-def compat_degree(o1, o2, cap=None):
+def compat_degree(o1, o2):
     """Meet over all (U, V) of  (O1 U over O2 V) -> (U over O2 V)."""
-    _, _, split = _image_splits(o1, o2, cap)
+    _, _, split = _image_splits(o1, o2)
     return o1.algebra.big_meet(split)
 
 
-def compat_witness(o1, o2, cap=None):
+def compat_witness(o1, o2):
     """(degree, witness): the exact compatibility degree plus the first pair
     achieving the lowest single-instance degree (None when every instance is
     top).  In a non-linear algebra the meet can sit strictly below every
@@ -367,7 +369,7 @@ def compat_witness(o1, o2, cap=None):
     witness scan reads only the W whose splits degree is below top: every
     instance of the others is top and never lowers the running best.
     """
-    sp, image, split = _image_splits(o1, o2, cap)
+    sp, image, split = _image_splits(o1, o2)
     alg = o1.algebra
     acc = alg.big_meet(split)
     if acc == alg.top:
@@ -377,7 +379,7 @@ def compat_witness(o1, o2, cap=None):
     it, lt = alg.imp_table, alg.leq_table
     best = alg.top
     where = None
-    for u, ou in enumerate(o1.rank_table(cap)):
+    for u, ou in enumerate(o1.rank_table()):
         pu, pou = planes[u], planes[ou]
         for v, w in below:
             d = it[support(pou & w)][support(pu & w)]
@@ -389,7 +391,7 @@ def compat_witness(o1, o2, cap=None):
     return acc, where
 
 
-def weak_compat_degree(o1, o2, cap=None):
+def weak_compat_degree(o1, o2):
     """Meet over (U, V) of  not(U over O2 V) -> not(O1 U over O2 V),
     computed as not of the join over W in the image of O2 and
     join-irreducible c of  c /\\ (G(c -> not W) over W)  (galois,
@@ -397,9 +399,9 @@ def weak_compat_degree(o1, o2, cap=None):
     """
     _same_op_context(o1, o2)
     alg = o1.algebra
-    sp, g = _lower_join(o1, cap)
+    sp, g = _lower_join(o1)
     planes, support = sp.planes, sp.support
-    image = [w for _, w in _image(o2.rank_table(cap))]
+    image = [w for _, w in _image(o2.rank_table())]
     jt, mt, it = alg.join_table, alg.meet_table, alg.imp_table
     acc = alg.bot
     for c in sp.join_irreducibles:
@@ -409,30 +411,30 @@ def weak_compat_degree(o1, o2, cap=None):
     return alg.neg(acc)
 
 
-def splits_degree(z, op, cap=None):
+def splits_degree(z, op):
     """Degree to which Z splits O: meet over U of (O U over Z) -> (U over Z).
 
     Equals compat_degree(op, const_op(z)).
     """
     if z.algebra is not op.algebra or z.carrier is not op.carrier:
         raise ContextMismatch("subset and operator live over different contexts")
-    sp, g = _lower_join(op, cap)
+    sp, g = _lower_join(op)
     return _splits_at(sp, g, [hset.subset_rank(z)])[0]
 
 
-def splits_vector(op, cap=None):
+def splits_vector(op):
     """splits(Z, O) for every rank of Z, from one sweep:
     splits(W) = meet over meet-irreducible d of (G(W -> d) over W) -> d,
     where G V is the join of O U over U <= V.
     """
-    sp, g = _lower_join(op, cap)
+    sp, g = _lower_join(op)
     return _splits_at(sp, g, range(len(sp.planes)))
 
 
-def _lower_join(op, cap):
+def _lower_join(op):
     """The space and G V = join of O U over U <= V, as planes, at every V."""
-    sp = hset.space(op.algebra, op.carrier, cap)
-    return sp, sp.down([sp.planes[r] for r in op.rank_table(cap)])
+    sp = hset.space(op.algebra, op.carrier)
+    return sp, sp.down([sp.planes[r] for r in op.rank_table()])
 
 
 def _splits_at(sp, g, ranks):
@@ -451,17 +453,17 @@ def _splits_at(sp, g, ranks):
     return split
 
 
-def LL(op, cap=None):
+def LL(op):
     """Greatest left-compatible operator:
     LL(O) U (a) = meet over V of  O V (a) -> (U over O V),
     computed as the meet over meet-irreducible d of K(U -> d)(a) -> d,
     where K X is the join of the outputs of O below X.
     """
     alg = op.algebra
-    sp = hset.space(alg, op.carrier, cap)
+    sp = hset.space(alg, op.carrier)
     planes = sp.planes
     seed = [0] * len(planes)
-    for r in set(op.rank_table(cap)):
+    for r in set(op.rank_table()):
         seed[r] = planes[r]
     k = sp.ranks(sp.down(seed))
     it = alg.imp_table
@@ -474,14 +476,14 @@ def LL(op, cap=None):
     )
 
 
-def RR(op, cap=None):
+def RR(op):
     """Greatest right-compatible operator: constant at the largest splitting
     subset, join over Z of splits(Z, O) /\\ Z(a).  That is the weighted
     reduction with splits weights (galois.JJ) at the full subset, where
     incl(Z, full) is top: the join of its whole seed.
     """
-    sp = hset.space(op.algebra, op.carrier, cap)
-    value = functools.reduce(operator.or_, sp.reduction_seed(splits_vector(op, cap)), 0)
+    sp = hset.space(op.algebra, op.carrier)
+    value = functools.reduce(operator.or_, sp.reduction_seed(splits_vector(op)), 0)
     return const_op(sp.subs[sp.ranks([value])[0]], name=f"RR({op.name or '?'})")
 
 
@@ -489,50 +491,50 @@ def RR(op, cap=None):
 # operator-level orders
 
 
-def _incl_pairs(o1, o2, cap):
+def _incl_pairs(o1, o2):
     """The space and the distinct rank pairs (O1 U, O2 U) over all U; the
     order degrees are meets, so each distinct pair is read once."""
     _same_op_context(o1, o2)
-    sp = hset.space(o1.algebra, o1.carrier, cap)
-    pairs = set(zip(o1.rank_table(cap), o2.rank_table(cap)))
+    sp = hset.space(o1.algebra, o1.carrier)
+    pairs = set(zip(o1.rank_table(), o2.rank_table()))
     return sp, pairs
 
 
-def op_incl_degree(o1, o2, cap=None):
+def op_incl_degree(o1, o2):
     """Meet over U of incl(O1 U, O2 U)."""
-    sp, pairs = _incl_pairs(o1, o2, cap)
+    sp, pairs = _incl_pairs(o1, o2)
     alg = o1.algebra
     return alg.big_meet(sp.incl(a, b) for a, b in pairs)
 
 
-def op_eq_degree(o1, o2, cap=None):
+def op_eq_degree(o1, o2):
     """Meet over U of eq_degree(O1 U, O2 U)."""
-    sp, pairs = _incl_pairs(o1, o2, cap)
+    sp, pairs = _incl_pairs(o1, o2)
     alg = o1.algebra
     return alg.big_meet(
         alg.meet(sp.incl(a, b), sp.incl(b, a)) for a, b in pairs
     )
 
 
-def op_leq(o1, o2, cap=None):
+def op_leq(o1, o2):
     """Pointwise operator order: O1 U <= O2 U for every U (a boolean)."""
-    sp, pairs = _incl_pairs(o1, o2, cap)
+    sp, pairs = _incl_pairs(o1, o2)
     top = o1.algebra.top
     return all(sp.incl(a, b) == top for a, b in pairs)
 
 
-def op_eq(o1, o2, cap=None):
+def op_eq(o1, o2):
     """Extensional operator equality over the full enumeration."""
     _same_op_context(o1, o2)
-    return o1.rank_table(cap) == o2.rank_table(cap)
+    return o1.rank_table() == o2.rank_table()
 
 
-def op_eq_witness(o1, o2, cap=None):
+def op_eq_witness(o1, o2):
     """First subset where the two operators differ, or None if equal."""
     _same_op_context(o1, o2)
-    subs = enumerate_all(o1.algebra, o1.carrier, cap)
-    t1 = o1.rank_table(cap)
-    t2 = o2.rank_table(cap)
+    subs = enumerate_all(o1.algebra, o1.carrier)
+    t1 = o1.rank_table()
+    t2 = o2.rank_table()
     for u in range(len(subs)):
         if t1[u] != t2[u]:
             return subs[u]

@@ -126,11 +126,11 @@ def inv_right_adjoint(r, d):
     return HSubset(alg, r.codomain, degs)
 
 
-def symmetry_check(r, cap=None):
+def symmetry_check(r):
     """overlap(r D, U) = overlap(D, r- U) for all D, U — exact degrees."""
     alg = r.algebra
-    doms = hset.enumerate_all(alg, r.domain, cap)
-    cods = hset.enumerate_all(alg, r.codomain, cap)
+    doms = hset.enumerate_all(alg, r.domain)
+    cods = hset.enumerate_all(alg, r.codomain)
     for d in doms:
         rd = dir_image(r, d)
         for u in cods:
@@ -146,7 +146,7 @@ def symmetry_check(r, cap=None):
     return LawReport(law="symmetry", status=HOLDS, degree=alg.name(alg.top))
 
 
-def representable(r, cap=None, name=None):
+def representable(r, *, name=None):
     """The basic topology (S, r-* r-, r r*), certified and verified reduced."""
     alg = r.algebra
 
@@ -162,10 +162,10 @@ def representable(r, cap=None, name=None):
         lambda u: dir_image(r, right_adjoint(r, u)),
         name=f"rr*({r.name or '?'})",
     )
-    sat = Saturation.certify(sat_op, cap=cap)
-    red = Reduction.certify(red_op, cap=cap)
-    t = make(sat, red, cap=cap, name=name or f"rep({r.name or '?'})")
-    reduced, witness = is_reduced(t, cap)
+    sat = Saturation.certify(sat_op)
+    red = Reduction.certify(red_op)
+    t = make(sat, red, name=name or f"rep({r.name or '?'})")
+    reduced, witness = is_reduced(t)
     if not reduced:
         raise CertificateFailure(
             "representable topology failed the reducedness theorem "
@@ -176,7 +176,7 @@ def representable(r, cap=None, name=None):
     return t
 
 
-def represent_reduction(red, cap=None, name=None):
+def represent_reduction(red, *, name=None):
     """Relation on Fix(J) x S whose representable topology is (AA(J), J).
 
     Domain points are the fixed subsets of J, named by their literals;
@@ -184,7 +184,7 @@ def represent_reduction(red, cap=None, name=None):
     """
     alg = red.algebra
     carrier = red.carrier
-    subs = hset.enumerate_all(alg, carrier, cap)
+    subs = hset.enumerate_all(alg, carrier)
     fixed = [u for u in subs if red.apply(u) == u]
     domain = hset.Carrier([u.render() for u in fixed])
     matrix = [u.degrees for u in fixed]

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from heytop import galois, heyting, hset, optable
 
-settings.register_profile("heytop", deadline=None, max_examples=50)
+settings.register_profile("heytop", deadline=None, max_examples=50, print_blob=True)
 settings.load_profile("heytop")
 
 

@@ -3,7 +3,11 @@
 import pytest
 
 from heytop import cli, hset, optable as ot
-from heytop.errors import ParseError, UnknownCommand, UnknownName, ValidationError
+from heytop.errors import (
+    CapExceeded, ParseError, UnknownCommand, UnknownName, ValidationError,
+)
+from heytop.galois import JJ, galois_check
+from heytop.heyting import boolean2
 
 DOC = """\
 # 3-chain workspace
@@ -316,3 +320,167 @@ def test_subset_cap_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, ca
     )
     monkeypatch.setenv("HEYTOP_SUBSET_CAP", cap)
     _one_line_usage_error(cli.main(["-d", str(doc), "ll", "Id"]), capsys)
+
+
+# the cap contract: the document is built under the larger of the default
+# cap and --subset-cap, every command runs under --subset-cap
+
+DOCUMENT_COMMANDS_AT_CAP_4 = [
+    (["validate"], cli.EXIT_OK),
+    (["classify", "Id"], cli.EXIT_CAP),
+    (["compat", "Id", "Id"], cli.EXIT_OK),  # samples above the cap
+    (["ll", "Id"], cli.EXIT_CAP),
+    (["rr", "Id"], cli.EXIT_CAP),
+    (["aa", "Ju"], cli.EXIT_CAP),
+    (["jj", "Ap"], cli.EXIT_CAP),
+    (["galois", "Ap", "Ju"], cli.EXIT_CAP),
+    (["laws"], cli.EXIT_CAP),
+    (["generate", "ax1"], cli.EXIT_CAP),
+    (["represent", "r"], cli.EXIT_CAP),
+    (["diagram", "T"], cli.EXIT_CAP),
+]
+
+
+def test_cap_contract_covers_every_document_command():
+    covered = {argv[0] for argv, _ in DOCUMENT_COMMANDS_AT_CAP_4}
+    assert covered == {c for c, (_, _, needs_ws) in cli.COMMANDS.items() if needs_ws}
+
+
+@pytest.mark.parametrize("argv, code", DOCUMENT_COMMANDS_AT_CAP_4)
+def test_document_commands_at_cap_4(tmp_path, capsys, argv, code):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    assert cli.main(["-d", str(doc), "--subset-cap", "4"] + argv) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_CAP:
+        assert captured.err.endswith("above the cap of 4\n")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+    if argv[0] == "compat":
+        assert "compat-sampled: no-counterexample-found" in captured.out
+
+
+def test_counterexample_runs_under_the_cap(capsys):
+    assert cli.main(["counterexample", "finite-line-meet-law"]) == cli.EXIT_OK
+    capsys.readouterr()
+    code = cli.main(["--subset-cap", "4", "counterexample", "finite-line-meet-law"])
+    assert code == cli.EXIT_CAP
+    assert capsys.readouterr().err.endswith("above the cap of 4\n")
+
+
+def _cap_in_force():
+    """The subset cap in force, as check_cap reports it."""
+    huge = hset.Carrier([f"p{i}" for i in range(64)])
+    with pytest.raises(CapExceeded) as exc:
+        hset.check_cap(boolean2(), huge)
+    return int(str(exc.value).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ll", "Id"],  # exits 3 inside the command
+        ["compat", "Id", "Id"],  # samples inside the command
+        ["validate"],
+        ["nope"],  # usage error after parsing
+    ],
+)
+def test_main_leaves_the_default_cap_in_force(tmp_path, capsys, argv):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    for cap in ("4", "100000"):
+        cli.main(["-d", str(doc), "--subset-cap", cap] + argv)
+        capsys.readouterr()
+        assert _cap_in_force() == hset.DEFAULT_SUBSET_CAP
+    cli.run("validate", [], cli.parse_document(DOC), cli.Caps(subset_cap=7))
+    assert _cap_in_force() == hset.DEFAULT_SUBSET_CAP
+
+
+# boolean2 x 13: 8192 subsets, twice the default cap
+BIG_DOC = (
+    "algebra boolean\n"
+    "carrier " + " ".join(f"p{i}" for i in range(13)) + "\n"
+    "operator Id identity\n"
+    "operator A sat-family {p0} {p0,p1} {p0,p1,p2}\n"
+    "operator J red-family {p0} {p1,p2} {p3,p4,p5}\n"
+)
+
+
+@pytest.fixture(scope="module")
+def big_doc(tmp_path_factory):
+    doc = tmp_path_factory.mktemp("big") / "big.doc"
+    doc.write_text(BIG_DOC)
+    return doc
+
+
+def _main_out(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "A"], ["aa", "J"], ["jj", "A"], ["rr", "Id"], ["galois", "A", "J"]],
+)
+def test_a_raised_cap_reaches_parsing_and_every_command(big_doc, capsys, argv):
+    code, _, err = _main_out(["-d", str(big_doc)] + argv, capsys)
+    assert code == cli.EXIT_CAP and "above the cap of 4096" in err
+    code, out, err = _main_out(
+        ["-d", str(big_doc), "--subset-cap", "8192"] + argv, capsys
+    )
+    assert code in (cli.EXIT_OK, cli.EXIT_LAW_FAILED) and err == ""
+    assert out
+
+
+def test_a_raised_cap_prints_what_the_library_computes(big_doc, capsys):
+    with hset.subset_cap(8192):
+        ws = cli.parse_document(BIG_DOC)
+        a, j = ws.operators["A"], ws.operators["J"]
+        jj = JJ(a)
+        expected_jj = ["JJ(A):"] + [
+            f"  {u.render()} -> {jj.apply(u).render()}"
+            for u in hset.enumerate_all(ws.algebra, ws.carrier)
+        ]
+        expected_galois = galois_check(a, j).render()
+    argv = ["-d", str(big_doc), "--subset-cap", "8192"]
+    code, out, _ = _main_out(argv + ["jj", "A"], capsys)
+    assert code == cli.EXIT_OK and out.splitlines() == expected_jj
+    _, out, _ = _main_out(argv + ["galois", "A", "J"], capsys)
+    assert out == expected_galois + "\n"
+
+
+# one-line usage errors for bad option values, from flags and environment
+
+
+@pytest.mark.parametrize(
+    "var", ["HEYTOP_SUBSET_CAP", "HEYTOP_SAMPLE_COUNT", "HEYTOP_SEED"]
+)
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_non_integer_environment_value_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, var, value
+):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    monkeypatch.setenv(var, value)
+    _one_line_usage_error(cli.main(["-d", str(doc), "compat", "Id", "Id"]), capsys)
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_sample_count_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, count):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    argv = ["-d", str(doc), "--subset-cap", "4", "compat", "Id", "Id"]
+    _one_line_usage_error(cli.main(["--sample-count", count] + argv), capsys)
+    monkeypatch.setenv("HEYTOP_SAMPLE_COUNT", count)
+    _one_line_usage_error(cli.main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--subset-cap", "x", "validate"], ["--seed", "1e3", "validate"], []]
+)
+def test_bad_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv):
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    _one_line_usage_error(cli.main(["-d", str(doc)] + argv), capsys)

@@ -70,7 +70,8 @@ def test_enumeration_cap():
     s = hset.Carrier([f"p{i}" for i in range(7)])
     with pytest.raises(CapExceeded):
         hset.enumerate_all(alg, s)
-    assert len(hset.enumerate_all(alg, hset.Carrier(["x"]), cap=4)) == 4
+    with hset.subset_cap(4):
+        assert len(hset.enumerate_all(alg, hset.Carrier(["x"]))) == 4
 
 
 def test_space_lives_as_long_as_its_carrier(chain3):

@@ -49,9 +49,9 @@ def test_tabulation_rejects_foreign_values(bool2, chain3, ab, literal):
 
 
 def test_untabulated_apply_rejects_foreign_values(bool2, chain3):
-    # 2^13 subsets: above TABULATE_LIMIT, so apply runs the body itself
+    # 2^13 subsets: above the default cap, so apply runs the body itself
     big = hset.Carrier([f"p{i}" for i in range(13)])
-    assert hset.space_size(bool2, big) > ot.Operator.TABULATE_LIMIT
+    assert hset.space_size(bool2, big) > hset.DEFAULT_SUBSET_CAP
     foreign = hset.from_degrees(chain3, big, {"p0": "u"})
     op = ot.Operator(bool2, big, lambda u: foreign)
     with pytest.raises(ContextMismatch):
