@@ -133,6 +133,18 @@ def parse_subset_literal(token, algebra, carrier, line):
     return hset.from_degrees(algebra, carrier, mapping)
 
 
+def _check_names(section, kind, names):
+    """ValidationError for a name holding a character of the subset literal
+    syntax, which every listing would then print ambiguously."""
+    for name in names:
+        for c in "{},:":
+            if c in name:
+                raise ValidationError(
+                    f"{section} section: {kind} name {name!r} contains {c!r}",
+                    obj=section,
+                )
+
+
 def _parse_algebra_block(kind, lines, i):
     elements = []
     below = []
@@ -151,6 +163,7 @@ def _parse_algebra_block(kind, lines, i):
             raise ParseError(f"unexpected {toks[0]!r} in algebra block", lineno, 1)
     else:
         raise ParseError("algebra block not closed with 'end'", lineno, 1)
+    _check_names("algebra", "element" if kind == "custom" else "poset point", elements)
     try:
         if kind == "custom":
             return build_from_order(elements, below), i
@@ -215,6 +228,7 @@ def parse_document(text):
         elif head == "carrier":
             if carrier is not None:
                 raise ParseError("duplicate carrier section", lineno, 1)
+            _check_names("carrier", "point", toks[1:])
             try:
                 carrier = hset.Carrier(toks[1:])
             except ValueError as exc:
@@ -321,7 +335,13 @@ def parse_document(text):
                 f"relation {name!r}: domain: {exc}", obj=name
             ) from exc
         triples = []
+        seen = set()
         for lineno, x, a, d in edges:
+            if (x, a) in seen:
+                raise ValidationError(
+                    f"relation {name!r}: repeated edge {x} {a}", obj=name
+                )
+            seen.add((x, a))
             if x not in dom:
                 raise ValidationError(
                     f"relation {name!r}: edge names unknown domain point {x!r}",
@@ -448,6 +468,10 @@ def _build_operator(ws, name, builder, op_builders, stack=()):
             if len(toks) != 3 or toks[1] != "->":
                 raise ParseError("table rows look like: LIT -> LIT", lineno, 1)
             key = parse_subset_literal(toks[0], algebra, carrier, lineno)
+            if key in mapping:
+                raise ValidationError(
+                    f"operator {name!r}: repeated table input {key.render()}", obj=name
+                )
             mapping[key] = parse_subset_literal(toks[2], algebra, carrier, lineno)
         try:
             op = optable.tabulated_op(algebra, carrier, mapping)

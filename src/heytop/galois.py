@@ -22,10 +22,11 @@ axiom-set's fulfilling and splitting degrees.  AA(J), the greatest
 saturation compatible with the reduction J, is one code path with LL.
 
 Neither formula scans pairs (U, P) or (Z, V), and neither do LL, the
-splits vector and the compatibility degrees (optable).  Each is a sweep
-of the hset.Space over the pointwise order, down(seed)[V] = join of
-seed[W] over W <= V or up(seed)[U] = meet of seed[W] over W >= U, and a
-pass over the ranks or over an operator's image.
+splits vector, the compatibility degrees, monotonicity and the operator
+orders (optable).  Each is a sweep of the hset.Space over the pointwise
+order, down(seed)[V] = join of seed[W] over W <= V or up(seed)[U] = meet
+of seed[W] over W >= U, or a single read of the planes, and a pass over
+the ranks or over an operator's image.
 With c ranging over the join-irreducible elements, d over the
 meet-irreducible ones:
 
@@ -38,6 +39,9 @@ meet-irreducible ones:
     5. compat(O1, O2) = meet over W in the image of O2 of splits(W, O1)
     6. weak_compat(O1, O2) = not join over W in the image of O2 and c of
        c /\\ (G(c -> not W) over W), where G = down(O1 U at each U)
+    7. O is monotone iff up(O) = O, where up(O) = up(O U at each U)
+    8. meet over U of incl(O1 U, O2 U) = incl of the OR over U of the
+       planes of O1 U & ~O2 U
 
 Proofs.  (1) incl(c /\\ Z, V) = c -> incl(Z, V), so c /\\ Z <= V iff
 c <= incl(Z, V): with t = incl(Z, V) /\\ w(Z), the term t /\\ Z of Z at V
@@ -56,10 +60,22 @@ join over U and W of not(U over W) /\\ (O1 U over W).  Here
 not(U over W) = incl(U, not W), the join of the c below it, and
 c <= incl(U, not W) iff U <= c -> not W; so for each c the U in question
 are those below c -> not W, and overlap distributes over their join,
-G(c -> not W).  All six hold intuitionistically.  In Boolean mode c is
-top and d bot: splits(W) is top iff G(not W) misses W,
-LL(O) U = not K(not U), and weak_compat equals compat, both top iff
-G(not W) misses W for every W in the image of O2.
+G(c -> not W).  (7) up(O)[U] <= O U, W = U being a term of the meet,
+and O U <= up(O)[U] iff O U <= O W for every W >= U; so up(O) = O iff O
+is monotone, and the first U where they differ is the first U of a pair
+U <= V with O U !<= O V.  (8) D(incl(U, V)) is the set of
+join-irreducibles above no bad one, bad meaning that the plane of
+U & ~V is not 0 there (hset.Space).  A plane of an OR is not 0 iff a
+plane of some term is, so the bad set of the OR is the union of the bad
+sets, and the join-irreducibles above none of the union are the
+intersection of the D sets: D of the meet.  incl is top iff nothing is
+bad, so O1 <= O2 pointwise iff that OR is 0; and eq being incl both
+ways, the meet over U of eq(O1 U, O2 U) is incl of the OR of the planes
+of O1 U ^ O2 U = (O1 U & ~O2 U) | (O2 U & ~O1 U).  All eight hold
+intuitionistically.  In Boolean mode c is top and d bot: splits(W) is
+top iff G(not W) misses W, LL(O) U = not K(not U), and weak_compat
+equals compat, both top iff G(not W) misses W for every W in the image
+of O2.
 
 AA and JJ form an antitone Galois connection:
 A included in AA(J), A compatible with J, and J included in JJ(A) all

@@ -293,9 +293,11 @@ class Space:
     The weighted saturation and reduction (galois, from
     ``saturation_seed``/``reduction_seed``), LL, the splits vector and the
     compat kernels (optable) are sweeps, so no kernel reads a row of
-    overlap or incl, and the Space keeps none.  A single overlap is
-    ``support(planes[i] & planes[j])``; ``incl(i, j)`` reads a single
-    entry from the planes, for the operator orders.
+    overlap or incl, and the Space keeps none.  ``support(x)`` and
+    ``incl(x)`` read one degree from planes x, those of U & V and of
+    U & ~V.  The k' whose plane of an OR is not 0 are those of its terms,
+    so a meet of incl degrees is ``incl`` of the OR of their planes: each
+    operator order (optable) is one such read.
 
     ``space`` keeps the Space in a slot on its carrier, so the enumeration
     and the planes live exactly as long as the carrier (the document) does.
@@ -304,7 +306,7 @@ class Space:
     __slots__ = (
         "algebra", "carrier", "subs", "planes", "full",
         "lower_covers", "upper_covers", "join_irreducibles", "meet_irreducibles",
-        "_order", "_fields", "_elem_of", "_up", "_incl_of",
+        "_order", "_fields", "_elem_of", "_up",
     )
 
     def __init__(self, algebra, carrier):
@@ -337,7 +339,6 @@ class Space:
         down = [sum(1 << k for k, j in enumerate(jis) if lt[j][x]) for x in range(h)]
         self._elem_of = {d: x for x, d in enumerate(down)}
         self._up = [sum(1 << k for k, j2 in enumerate(jis) if lt[j][j2]) for j in jis]
-        self._incl_of = {}
         spread = [
             sum(1 << (k * npts) for k in range(len(jis)) if d >> k & 1) for d in down
         ]
@@ -359,24 +360,15 @@ class Space:
         to which it is inhabited."""
         return self._elem_of[self._mask(x)]
 
-    def _incl(self, x):
-        """incl(U, V), from the planes x of U & ~V."""
+    def incl(self, x):
+        """incl(U, V), from the planes x of U & ~V: the join-irreducibles
+        above no bad one."""
         bad = self._mask(x)
-        got = self._incl_of.get(bad)
-        if got is None:
-            # the join-irreducibles above no bad one
-            above = 0
-            for k, up in enumerate(self._up):
-                if bad >> k & 1:
-                    above |= up
-            got = self._incl_of[bad] = self._elem_of[
-                ((1 << len(self._up)) - 1) ^ above
-            ]
-        return got
-
-    def incl(self, i, j):
-        """incl(subs[i], subs[j]): one entry."""
-        return self._incl(self.planes[i] & ~self.planes[j])
+        above = 0
+        for k, up in enumerate(self._up):
+            if bad >> k & 1:
+                above |= up
+        return self._elem_of[((1 << len(self._up)) - 1) ^ above]
 
     def ranks(self, vals):
         """The rank of each subset in vals, given by its planes."""

@@ -33,7 +33,9 @@ share it.  Only compat_witness, below top, scans pairs, to name the
 first pair reaching the lowest instance degree: it skips every W whose
 splits degree is top, whose instances are all top, and reads each
 overlap from the planes.  classify compares subsets as planes (U <= V is
-``not U & ~V``); the operator orders read single incl entries.
+``not U & ~V``) and decides monotonicity with one ``Space.up`` sweep; each
+operator order is one ``Space.incl`` read of an OR of planes over all U
+(galois, identities 7 and 8).
 """
 
 from __future__ import annotations
@@ -264,21 +266,28 @@ class OperatorProfile:
 def classify(op):
     """Verify or refute the four profile flags over the whole subset space.
 
-    Subsets are compared as bit-planes.  Monotonicity is verified on the
-    covering pairs of the pointwise order only (V raises one point of U to
-    an upper cover of its degree), which by transitivity is equivalent to
-    checking every pair U <= V.  When a covering pair fails, the full pair
-    scan runs, solely to find the minimal witness.  Witnesses are minimal
-    in the fixed enumeration order: the first failing pair (U, V) for
-    monotonicity, the first failing U otherwise.
+    Subsets are compared as bit-planes.  O is monotone iff O U lies below
+    M U, the meet of O W over W >= U, at every U (galois, identity 7); M is
+    one ``Space.up`` sweep.  Witnesses are minimal in the fixed enumeration
+    order: for monotonicity the first pair (U, V) with U <= V and
+    O U !<= O V, whose U is the first rank where O U !<= M U; the first
+    failing U otherwise.
     """
     sp = hset.space(op.algebra, op.carrier)
     subs, planes = sp.subs, sp.planes
     ranks = op.rank_table()
 
     monotone = Flag(True)
-    if not _monotone_on_covers(sp, ranks):
-        monotone = Flag(False, _first_monotonicity_failure(sp, ranks))
+    out = [planes[r] for r in ranks]
+    for u, (ou, mu) in enumerate(zip(out, sp.up(out))):
+        if ou & ~mu:
+            pu = planes[u]
+            v = next(
+                v for v, (pv, ov) in enumerate(zip(planes, out))
+                if not pu & ~pv and ou & ~ov
+            )
+            monotone = Flag(False, (subs[u], subs[v]))
+            break
 
     idempotent = Flag(True)
     for i, u in enumerate(subs):
@@ -299,35 +308,6 @@ def classify(op):
             break
 
     return OperatorProfile(monotone, idempotent, expansive, contractive)
-
-
-def _monotone_on_covers(sp, ranks):
-    """O U <= O V on every covering pair U < V, compared in rank space.
-
-    Raising point a from degree x to c moves the rank by (c - x) * h^(npts-1-a).
-    """
-    h = len(sp.algebra)
-    npts = len(sp.carrier)
-    covers = sp.upper_covers
-    planes = sp.planes
-    steps = [h ** (npts - 1 - a) for a in range(npts)]
-    for u, ru in enumerate(ranks):
-        ou = planes[ru]
-        for x, step in zip(sp.subs[u].degrees, steps):
-            for c in covers[x]:
-                if ou & ~planes[ranks[u + (c - x) * step]]:
-                    return False
-    return True
-
-
-def _first_monotonicity_failure(sp, ranks):
-    """The first pair (U, V) in enumeration order with U <= V, O U !<= O V."""
-    planes = sp.planes
-    out = [planes[r] for r in ranks]
-    for u, (pu, ou) in enumerate(zip(planes, out)):
-        for v, (pv, ov) in enumerate(zip(planes, out)):
-            if not pu & ~pv and ou & ~ov:
-                return (sp.subs[u], sp.subs[v])
 
 
 # ---------------------------------------------------------------------------
@@ -491,36 +471,33 @@ def RR(op):
 # operator-level orders
 
 
-def _incl_pairs(o1, o2):
-    """The space and the distinct rank pairs (O1 U, O2 U) over all U; the
-    order degrees are meets, so each distinct pair is read once."""
+def _incl_bad(o1, o2):
+    """The space and the OR over U of the planes of O1 U & ~O2 U; the meet
+    over U of incl(O1 U, O2 U) is its Space.incl (galois, identity 8)."""
     _same_op_context(o1, o2)
     sp = hset.space(o1.algebra, o1.carrier)
-    pairs = set(zip(o1.rank_table(), o2.rank_table()))
-    return sp, pairs
+    plane = sp.planes.__getitem__
+    outs = map(plane, o1.rank_table())
+    not_outs = map(operator.invert, map(plane, o2.rank_table()))
+    return sp, functools.reduce(operator.or_, map(operator.and_, outs, not_outs), 0)
 
 
 def op_incl_degree(o1, o2):
     """Meet over U of incl(O1 U, O2 U)."""
-    sp, pairs = _incl_pairs(o1, o2)
-    alg = o1.algebra
-    return alg.big_meet(sp.incl(a, b) for a, b in pairs)
+    sp, bad = _incl_bad(o1, o2)
+    return sp.incl(bad)
 
 
 def op_eq_degree(o1, o2):
-    """Meet over U of eq_degree(O1 U, O2 U)."""
-    sp, pairs = _incl_pairs(o1, o2)
-    alg = o1.algebra
-    return alg.big_meet(
-        alg.meet(sp.incl(a, b), sp.incl(b, a)) for a, b in pairs
-    )
+    """Meet over U of eq_degree(O1 U, O2 U): incl both ways, so the incl of
+    the OR of both bad planes."""
+    sp, bad = _incl_bad(o1, o2)
+    return sp.incl(bad | _incl_bad(o2, o1)[1])
 
 
 def op_leq(o1, o2):
     """Pointwise operator order: O1 U <= O2 U for every U (a boolean)."""
-    sp, pairs = _incl_pairs(o1, o2)
-    top = o1.algebra.top
-    return all(sp.incl(a, b) == top for a, b in pairs)
+    return not _incl_bad(o1, o2)[1]
 
 
 def op_eq(o1, o2):

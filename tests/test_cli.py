@@ -1,5 +1,7 @@
 """Document parsing, serialization, command dispatch, exit codes."""
 
+import re
+
 import pytest
 
 from heytop import cli, hset, optable as ot
@@ -301,6 +303,54 @@ def test_relation_with_duplicate_domain_point_is_a_usage_error(tmp_path, capsys)
         "algebra boolean\ncarrier a\nrelation r\n  domain x x\n  edge x a\nend\n"
     )
     with pytest.raises(ValidationError, match="duplicate point names"):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        ("algebra boolean\ncarrier a,b c\n", "carrier section: point name 'a,b' contains ','"),
+        ("algebra boolean\ncarrier a:1 c\n", "carrier section: point name 'a:1' contains ':'"),
+        ("algebra boolean\ncarrier {} b\n", "carrier section: point name '{}' contains '{'"),
+        (
+            "algebra custom\n  elements 0 x,y 1\n  below 0 x,y\n  below x,y 1\nend\n"
+            "carrier a\n",
+            "algebra section: element name 'x,y' contains ','",
+        ),
+        (
+            "algebra downsets\n  elements p q}\n  below p q}\nend\ncarrier a\n",
+            "algebra section: poset point name 'q}' contains '}'",
+        ),
+    ],
+    ids=["comma", "colon", "braces", "custom-element", "downsets-point"],
+)
+def test_name_with_literal_syntax_is_a_usage_error(tmp_path, capsys, head, message):
+    doc = tmp_path / "w.doc"
+    doc.write_text(head)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+def test_repeated_table_input_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "w.doc"
+    doc.write_text(
+        "algebra boolean\ncarrier a\noperator T table\n"
+        "  {} -> {a}\n  {} -> {}\n  {a} -> {a}\nend\n"
+    )
+    with pytest.raises(ValidationError, match=r"operator 'T': repeated table input \{\}"):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+def test_repeated_relation_edge_is_a_usage_error(tmp_path, capsys):
+    doc = tmp_path / "w.doc"
+    doc.write_text(
+        "algebra chain 3\ncarrier a\nrelation r\n  domain x\n"
+        "  edge x a u\n  edge x a 0\nend\n"
+    )
+    with pytest.raises(ValidationError, match="relation 'r': repeated edge x a"):
         cli.parse_document(doc.read_text())
     _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
 

@@ -324,3 +324,17 @@ def test_compat_witness_minimal_in_order(bool2, ab):
     assert degree == bool2.bot
     assert witness[0].render() == "{}"
     assert witness[1].render() == "{a}"
+
+
+def test_late_monotonicity_witness_and_orders_at_default_cap(bool2):
+    # identity except S -> S \ {p0}: the first failing U is {p0}, rank 2048
+    car = hset.Carrier([f"p{i}" for i in range(12)])
+    full = hset.full(bool2, car)
+    cut = hset.from_points(bool2, car, car.points[1:])
+    op = ot.Operator(bool2, car, lambda u: cut if u == full else u, name="cut")
+    ident = ot.identity_op(bool2, car)
+    u, v = ot.classify(op).monotone.witness
+    assert (u.render(), v) == ("{p0}", full)
+    assert ot.op_leq(op, ident)
+    assert not ot.op_leq(ident, op)
+    assert ot.op_eq_degree(op, ident) == bool2.bot

@@ -186,7 +186,7 @@ def test_space_matches_overlap_and_incl(name):
     for j, v in enumerate(subs):
         overlaps = [hset.overlap(u, v) for u in subs]
         incls = [hset.incl(v, w) for w in subs]
-        assert [sp.incl(j, k) for k in ranks] == incls
+        assert [sp.incl(planes[j] & ~planes[k]) for k in ranks] == incls
         assert [sp.support(planes[i] & planes[j]) for i in ranks] == overlaps
 
 
