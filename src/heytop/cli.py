@@ -284,6 +284,10 @@ def parse_document(text):
                 if sub[0] == "end":
                     break
                 if sub[0] == "domain":
+                    if domain is not None:
+                        raise ValidationError(
+                            f"relation {name!r} has a second domain line", obj=name
+                        )
                     domain = sub[1:]
                 elif sub[0] == "edge" and len(sub) in (3, 4):
                     edges.append((sub_lineno, sub[1], sub[2], sub[3] if len(sub) == 4 else None))
@@ -392,6 +396,16 @@ def _certified(ws, opname, cls, owner):
         ) from None
 
 
+_NULLARY_RULES = {
+    "identity": optable.identity_op,
+    "bottom": optable.bottom_op,
+    "top": optable.top_op,
+    "complement": optable.complement_op,
+    "double-complement": optable.double_complement_op,
+    "inhabited": optable.inhabited_op,
+}
+
+
 def _build_operator(ws, name, builder, op_builders, stack=()):
     if name in stack:
         raise ValidationError(f"operator {name!r} is defined in terms of itself", obj=name)
@@ -414,18 +428,10 @@ def _build_operator(ws, name, builder, op_builders, stack=()):
     def literal(tok):
         return parse_subset_literal(tok, algebra, carrier, builder.lineno)
 
-    if rule == "identity":
-        op = optable.identity_op(algebra, carrier)
-    elif rule == "bottom":
-        op = optable.bottom_op(algebra, carrier)
-    elif rule == "top":
-        op = optable.top_op(algebra, carrier)
-    elif rule == "complement":
-        op = optable.complement_op(algebra, carrier)
-    elif rule == "double-complement":
-        op = optable.double_complement_op(algebra, carrier)
-    elif rule == "inhabited":
-        op = optable.inhabited_op(algebra, carrier)
+    if rule in _NULLARY_RULES:
+        if args:
+            raise ParseError(f"{rule} takes no arguments", builder.lineno, 1)
+        op = _NULLARY_RULES[rule](algebra, carrier)
     elif rule == "const":
         if len(args) != 1:
             raise ParseError("const needs one subset literal", builder.lineno, 1)

@@ -132,8 +132,8 @@ class _Certified(Operator):
         return all(getattr(profile, f).holds for f in self.REQUIRED)
 
     @classmethod
-    def certify(cls, op, *, trusted=False, name=None, profile=None):
-        """Wrap an existing operator, verifying (or trusting) its profile.
+    def certify(cls, op, *, name=None, profile=None):
+        """Wrap an existing operator, verifying its profile.
 
         A tabulated operator hands over its rank table, so nothing is
         applied again; ``profile``, classify's verdict on op, spares the
@@ -144,7 +144,6 @@ class _Certified(Operator):
             op.carrier,
             op.apply,
             name=name or op.name,
-            trusted=trusted,
             ranks=op._ranks,
             profile=profile,
         )
@@ -352,7 +351,11 @@ def positivity_law(red):
     """Degree of  ((a in J S -> a in AA(J) U) -> a in AA(J) U)  over all (a, U).
 
     Proved intuitionistically for every reduction, so the report must come
-    back with degree top; anything below top is a defect.
+    back with degree top; anything below top is a defect.  Each instance
+    reads U only through AA(J) U, so U ranges over the image of AA(J), each
+    output at its first input.  That is exact, witness included: a repeated
+    output repeats instance degrees met earlier, which never fall strictly
+    below the running lowest degree.
     """
     alg = red.algebra
     carrier = red.carrier
@@ -364,14 +367,14 @@ def positivity_law(red):
     acc = alg.top
     best = alg.top
     witness = None
-    for u in subs:
-        au = aa.apply(u)
+    for v, w in optable._image(aa.rank_table()):
+        au = subs[w]
         for a in range(len(carrier)):
             d = it[it[js.degrees[a]][au.degrees[a]]][au.degrees[a]]
             acc = mt[acc][d]
             if d != best and lt[d][best]:
                 best = d
-                witness = (carrier.points[a], u.render())
+                witness = (carrier.points[a], subs[v].render())
     holds = acc == alg.top
     return LawReport(
         law="positivity",

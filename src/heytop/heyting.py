@@ -121,7 +121,12 @@ def _transitive_closure(n, leq):
     return leq
 
 
-def build_from_order(elements, pairs, cap=DEFAULT_ELEMENT_CAP):
+def _check_element_cap(count, what):
+    if count > DEFAULT_ELEMENT_CAP:
+        raise CapExceeded(f"{count} {what} exceed the cap of {DEFAULT_ELEMENT_CAP}")
+
+
+def build_from_order(elements, pairs):
     """Build an algebra from element names and a list of (low, high) pairs.
 
     The pairs are closed reflexively and transitively.  Raises NotALattice
@@ -134,8 +139,7 @@ def build_from_order(elements, pairs, cap=DEFAULT_ELEMENT_CAP):
         raise NotALattice("an algebra needs at least one element")
     if len(set(names)) != len(names):
         raise ValueError("duplicate element names")
-    if len(names) > cap:
-        raise CapExceeded(f"{len(names)} elements exceed the cap of {cap}")
+    _check_element_cap(len(names), "elements")
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
     leq = [[False] * n for _ in range(n)]
@@ -241,7 +245,7 @@ def boolean2():
     return build_from_order(("0", "1"), [("0", "1")])
 
 
-def chain(n, cap=DEFAULT_ELEMENT_CAP):
+def chain(n):
     """Linear Heyting algebra with n elements.
 
     chain(2) is boolean2 up to naming; chain(3) is named 0 < u < 1 and is
@@ -249,8 +253,7 @@ def chain(n, cap=DEFAULT_ELEMENT_CAP):
     """
     if n < 1:
         raise ValueError("chain needs at least one element")
-    if n > cap:
-        raise CapExceeded(f"{n} elements exceed the cap of {cap}")
+    _check_element_cap(n, "elements")
     if n == 1:
         names = ("0",)
     elif n == 2:
@@ -260,10 +263,10 @@ def chain(n, cap=DEFAULT_ELEMENT_CAP):
     else:
         names = ("0",) + tuple(f"u{i}" for i in range(1, n - 1)) + ("1",)
     pairs = [(names[i], names[i + 1]) for i in range(n - 1)]
-    return build_from_order(names, pairs, cap=cap)
+    return build_from_order(names, pairs)
 
 
-def downset_algebra(points, below, cap=DEFAULT_ELEMENT_CAP):
+def downset_algebra(points, below):
     """Algebra of down-sets of a finite poset, ordered by inclusion.
 
     Equivalently the opens of the finite topological space whose
@@ -289,8 +292,7 @@ def downset_algebra(points, below, cap=DEFAULT_ELEMENT_CAP):
         members = [i for i in range(n) if mask >> i & 1]
         if all((not rel[j][i]) or (mask >> j & 1) for i in members for j in range(n)):
             downsets.append(frozenset(members))
-    if len(downsets) > cap:
-        raise CapExceeded(f"{len(downsets)} down-sets exceed the cap of {cap}")
+    _check_element_cap(len(downsets), "down-sets")
 
     def dname(ds):
         if not ds:
@@ -304,4 +306,4 @@ def downset_algebra(points, below, cap=DEFAULT_ELEMENT_CAP):
     pairs = [
         (dname(a), dname(b)) for a in downsets for b in downsets if a < b or a == b
     ]
-    return build_from_order(names, pairs, cap=cap)
+    return build_from_order(names, pairs)

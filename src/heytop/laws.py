@@ -18,6 +18,15 @@ The suite ids understood by the CLI `laws` command:
 
 `compat-union` and `trentinaglia` and the order-equivalence suites are
 exposed for the test suites; they quantify over arbitrary operators.
+
+The laws come in dual pairs, one for each side of the connection: AA
+acting on the reductions, JJ on the saturations.  Each of antitone,
+unit, triangle and union-to-meet runs both sides from one table
+(_sides), which gives each side its label, its stock, the Galois map out
+of it, the map back and the side's lattice pair.  The reduction (AA)
+side runs first, except in unit, whose saturation side runs first.  The
+two order-equivalence suites share one body, which reads the pair in
+the opposite order for saturations.
 """
 
 from __future__ import annotations
@@ -86,52 +95,51 @@ def law_positivity(reds):
     return _aggregate("positivity", gen())
 
 
+def _sides(sats, reds):
+    """The two sides of the connection, reductions first.  Each is (label,
+    stock, the Galois map out of the stock, the map back, its label, the
+    join on the stock, the meet on the image)."""
+    return (
+        ("AA", reds, AA, JJ, "JJ", join_reductions, pointwise_meet),
+        ("JJ", sats, JJ, AA, "AA", join_saturations, meet_reductions),
+    )
+
+
 def law_antitone(sats, reds):
     """incl(J1,J2) <= incl(AA(J2),AA(J1)) and dually, as internal degrees."""
-    instances = []
-    aas = {id(j): AA(j) for j in reds}
-    for j1 in reds:
-        for j2 in reds:
-            alg = j1.algebra
-            d = alg.imp(
-                op_incl_degree(j1, j2),
-                op_incl_degree(aas[id(j2)], aas[id(j1)]),
-            )
-            instances.append((f"AA: ({j1.name or '?'}, {j2.name or '?'})", d == alg.top))
-    jjs = {id(a): JJ(a) for a in sats}
-    for a1 in sats:
-        for a2 in sats:
-            alg = a1.algebra
-            d = alg.imp(
-                op_incl_degree(a1, a2),
-                op_incl_degree(jjs[id(a2)], jjs[id(a1)]),
-            )
-            instances.append((f"JJ: ({a1.name or '?'}, {a2.name or '?'})", d == alg.top))
-    return _aggregate("antitone", instances)
+
+    def gen():
+        for label, stock, there, *_ in _sides(sats, reds):
+            images = [there(o) for o in stock]
+            for o1, img1 in zip(stock, images):
+                for o2, img2 in zip(stock, images):
+                    alg = o1.algebra
+                    d = alg.imp(op_incl_degree(o1, o2), op_incl_degree(img2, img1))
+                    yield f"{label}: ({o1.name or '?'}, {o2.name or '?'})", d == alg.top
+
+    return _aggregate("antitone", gen())
 
 
 def law_unit(sats, reds):
+    """A in AA(JJ(A)) and J in JJ(AA(J)); the saturation side runs first."""
+
     def gen():
-        for a in sats:
-            alg = a.algebra
-            d = op_incl_degree(a, AA(JJ(a)))
-            yield f"A in AAJJ(A): {a.name or '?'}", d == alg.top
-        for j in reds:
-            alg = j.algebra
-            d = op_incl_degree(j, JJ(AA(j)))
-            yield f"J in JJAA(J): {j.name or '?'}", d == alg.top
+        for label, stock, there, back, back_label, *_ in reversed(_sides(sats, reds)):
+            x = back_label[0]  # A for a saturation, J for a reduction
+            for o in stock:
+                ok = op_incl_degree(o, back(there(o))) == o.algebra.top
+                yield f"{x} in {back_label}{label}({x}): {o.name or '?'}", ok
 
     return _aggregate("unit", gen())
 
 
 def law_triangle(sats, reds):
     def gen():
-        for j in reds:
-            aa = AA(j)
-            yield f"AAJJAA = AA: {j.name or '?'}", op_eq(AA(JJ(aa)), aa)
-        for a in sats:
-            jj = JJ(a)
-            yield f"JJAAJJ = JJ: {a.name or '?'}", op_eq(JJ(AA(jj)), jj)
+        for label, stock, there, back, back_label, *_ in _sides(sats, reds):
+            for o in stock:
+                image = there(o)
+                ok = op_eq(there(back(image)), image)
+                yield f"{label}{back_label}{label} = {label}: {o.name or '?'}", ok
 
     return _aggregate("triangle", gen())
 
@@ -148,22 +156,28 @@ def law_union_to_meet(sats, reds):
     """
 
     def gen():
-        aas = [AA(j) for j in reds]
-        for i, (j1, aa1) in enumerate(zip(reds, aas)):
-            for j2, aa2 in zip(reds[i:], aas[i:]):
-                joined = join_reductions([j1, j2])
-                lhs = AA(joined)
-                rhs = pointwise_meet([aa1, aa2])
-                yield f"AA: ({j1.name or '?'}, {j2.name or '?'})", op_eq(lhs, rhs)
-        jjs = [JJ(a) for a in sats]
-        for i, (a1, jj1) in enumerate(zip(sats, jjs)):
-            for a2, jj2 in zip(sats[i:], jjs[i:]):
-                joined = join_saturations([a1, a2])
-                lhs = JJ(joined)
-                rhs = meet_reductions([jj1, jj2])
-                yield f"JJ: ({a1.name or '?'}, {a2.name or '?'})", op_eq(lhs, rhs)
+        for label, stock, there, _, _, join, meet in _sides(sats, reds):
+            images = [there(o) for o in stock]
+            for i, (o1, img1) in enumerate(zip(stock, images)):
+                for o2, img2 in zip(stock[i:], images[i:]):
+                    lhs = there(join([o1, o2]))
+                    rhs = meet([img1, img2])
+                    yield f"{label}: ({o1.name or '?'}, {o2.name or '?'})", op_eq(lhs, rhs)
 
     return _aggregate("union-to-meet", gen())
+
+
+def _memo_compat():
+    """compat_degree, memoized on the operators' identities."""
+    memo = {}
+
+    def cd(x, y):
+        key = (id(x), id(y))
+        if key not in memo:
+            memo[key] = compat_degree(x, y)
+        return memo[key]
+
+    return cd
 
 
 def law_compat_union(ops):
@@ -171,14 +185,7 @@ def law_compat_union(ops):
     mirror-image law for joins on the left."""
 
     def gen():
-        memo = {}
-
-        def cd(x, y):
-            key = (id(x), id(y))
-            if key not in memo:
-                memo[key] = compat_degree(x, y)
-            return memo[key]
-
+        cd = _memo_compat()
         for o in ops:
             alg = o.algebra
             for i, o1 in enumerate(ops):
@@ -202,14 +209,7 @@ def law_trentinaglia(ops):
     """
 
     def gen():
-        memo = {}
-
-        def cd(x, y):
-            key = (id(x), id(y))
-            if key not in memo:
-                memo[key] = compat_degree(x, y)
-            return memo[key]
-
+        cd = _memo_compat()
         for o in ops:
             alg = o.algebra
             for o1 in ops:
@@ -231,49 +231,40 @@ def _fix_degree(op, u):
     return hset.eq_degree(op.apply(u), u)
 
 
-def law_sat_order_equivalences(sats):
-    """A1 in A2, A2A1 = A2, A1A2 = A2 and Fix(A2) in Fix(A1) carry one
-    degree for every saturation pair."""
+def _order_equivalences(law, ops, swap):
+    """For each pair (O1, O2), with (X, Y) = (O1, O2), or (O2, O1) when
+    ``swap``: incl(O1, O2), XY = X, YX = X and Fix(X) in Fix(Y) carry one
+    degree."""
 
     def gen():
-        for a1 in sats:
-            alg = a1.algebra
-            subs = hset.enumerate_all(alg, a1.carrier)
-            for a2 in sats:
-                d1 = op_incl_degree(a1, a2)
-                d2 = op_eq_degree(compose(a2, a1), a2)
-                d3 = op_eq_degree(compose(a1, a2), a2)
+        for o1 in ops:
+            alg = o1.algebra
+            subs = hset.enumerate_all(alg, o1.carrier)
+            for o2 in ops:
+                x, y = (o2, o1) if swap else (o1, o2)
+                d1 = op_incl_degree(o1, o2)
+                d2 = op_eq_degree(compose(x, y), x)
+                d3 = op_eq_degree(compose(y, x), x)
                 d4 = alg.big_meet(
-                    alg.imp(_fix_degree(a2, u), _fix_degree(a1, u)) for u in subs
+                    alg.imp(_fix_degree(x, u), _fix_degree(y, u)) for u in subs
                 )
                 yield (
-                    f"({a1.name or '?'}, {a2.name or '?'})",
+                    f"({o1.name or '?'}, {o2.name or '?'})",
                     d1 == d2 == d3 == d4,
                 )
 
-    return _aggregate("sat-order-equivalences", gen())
+    return _aggregate(law, gen())
+
+
+def law_sat_order_equivalences(sats):
+    """A1 in A2, A2A1 = A2, A1A2 = A2 and Fix(A2) in Fix(A1) carry one
+    degree for every saturation pair."""
+    return _order_equivalences("sat-order-equivalences", sats, swap=True)
 
 
 def law_red_order_equivalences(reds):
     """J1 in J2, J1J2 = J1, J2J1 = J1 and Fix(J1) in Fix(J2), dually."""
-
-    def gen():
-        for j1 in reds:
-            alg = j1.algebra
-            subs = hset.enumerate_all(alg, j1.carrier)
-            for j2 in reds:
-                d1 = op_incl_degree(j1, j2)
-                d2 = op_eq_degree(compose(j1, j2), j1)
-                d3 = op_eq_degree(compose(j2, j1), j1)
-                d4 = alg.big_meet(
-                    alg.imp(_fix_degree(j1, u), _fix_degree(j2, u)) for u in subs
-                )
-                yield (
-                    f"({j1.name or '?'}, {j2.name or '?'})",
-                    d1 == d2 == d3 == d4,
-                )
-
-    return _aggregate("red-order-equivalences", gen())
+    return _order_equivalences("red-order-equivalences", reds, swap=False)
 
 
 SUITES = {

@@ -172,41 +172,33 @@ def compose(outer, inner, name=None):
 
 def pointwise_join(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise union of operator results; the empty join is the bot operator."""
-    ops = list(ops)
-    algebra, carrier = hset.family_context(ops, algebra, carrier)
-    if not ops:
-        return bottom_op(algebra, carrier)
-    jt = algebra.join_table
-
-    def fn(u):
-        degs = [algebra.bot] * len(carrier)
-        for o in ops:
-            for i, d in enumerate(o.apply(u).degrees):
-                degs[i] = jt[degs[i]][d]
-        return HSubset(algebra, carrier, degs)
-
-    if name is None:
-        name = "join(" + ",".join(o.name or "?" for o in ops) + ")"
-    return Operator(algebra, carrier, fn, name=name)
+    return _pointwise("join", "bot", bottom_op, ops, algebra, carrier, name)
 
 
 def pointwise_meet(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise intersection; the empty meet is the top operator."""
+    return _pointwise("meet", "top", top_op, ops, algebra, carrier, name)
+
+
+def _pointwise(op, unit, empty, ops, algebra, carrier, name):
+    """The family's outputs folded point by point through the algebra's
+    ``op`` table (join or meet) from its ``unit`` element; ``empty`` builds
+    the operator of the empty family."""
     ops = list(ops)
     algebra, carrier = hset.family_context(ops, algebra, carrier)
     if not ops:
-        return top_op(algebra, carrier)
-    mt = algebra.meet_table
+        return empty(algebra, carrier)
+    table, start = getattr(algebra, f"{op}_table"), getattr(algebra, unit)
 
     def fn(u):
-        degs = [algebra.top] * len(carrier)
+        degs = [start] * len(carrier)
         for o in ops:
             for i, d in enumerate(o.apply(u).degrees):
-                degs[i] = mt[degs[i]][d]
+                degs[i] = table[degs[i]][d]
         return HSubset(algebra, carrier, degs)
 
     if name is None:
-        name = "meet(" + ",".join(o.name or "?" for o in ops) + ")"
+        name = f"{op}(" + ",".join(o.name or "?" for o in ops) + ")"
     return Operator(algebra, carrier, fn, name=name)
 
 

@@ -6,6 +6,15 @@ image r-, and their right adjoints r*, r-*.  The composite pair
 AA(r r*) = r-* r-.  Conversely every reduction is representable by the
 relation 'membership' between its fixed subsets and the carrier, which
 represent_reduction builds explicitly.
+
+Read through the transposed matrix r^T(a, x) = r(x, a), the direct image
+is an inverse image and the inverse right adjoint a right adjoint:
+
+    r D = (r^T)- D        r-* D = (r^T)* D
+
+So two kernels serve all four maps: a join image, U |-> join over j of
+U(j) /\\ m(i, j), and a meet image, U |-> meet over j of m(i, j) -> U(j),
+each run over the matrix or over its transpose.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .reports import LawReport, HOLDS, FAILS
 class HRelation:
     """A matrix of truth degrees between a domain and a codomain carrier."""
 
-    __slots__ = ("algebra", "domain", "codomain", "matrix", "name")
+    __slots__ = ("algebra", "domain", "codomain", "matrix", "transposed", "name")
 
     def __init__(self, algebra, domain, codomain, matrix, name=None):
         matrix = tuple(tuple(row) for row in matrix)
@@ -34,6 +43,9 @@ class HRelation:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
+        self.transposed = tuple(
+            tuple(row[a] for row in matrix) for a in range(len(codomain))
+        )
         self.name = name
 
     @classmethod
@@ -64,66 +76,58 @@ def _check_on(r, u, carrier, what):
         raise ContextMismatch(f"{what} must live on the relation's {carrier!r}")
 
 
+def _join_image(alg, carrier, matrix, degs):
+    """The subset of carrier, one point per matrix row, whose degree at i is
+    join over j of degs(j) /\\ matrix(i, j)."""
+    mt, jt = alg.meet_table, alg.join_table
+    out = []
+    for row in matrix:
+        acc = alg.bot
+        for dj, rij in zip(degs, row):
+            acc = jt[acc][mt[dj][rij]]
+            if acc == alg.top:
+                break
+        out.append(acc)
+    return HSubset(alg, carrier, out)
+
+
+def _meet_image(alg, carrier, matrix, degs):
+    """The subset of carrier, one point per matrix row, whose degree at i is
+    meet over j of matrix(i, j) -> degs(j)."""
+    mt, it = alg.meet_table, alg.imp_table
+    out = []
+    for row in matrix:
+        acc = alg.top
+        for dj, rij in zip(degs, row):
+            acc = mt[acc][it[rij][dj]]
+            if acc == alg.bot:
+                break
+        out.append(acc)
+    return HSubset(alg, carrier, out)
+
+
 def dir_image(r, d):
     """r D (a) = join over x of D(x) /\\ r(x, a)."""
     _check_on(r, d, r.domain, "argument")
-    alg = r.algebra
-    mt, jt = alg.meet_table, alg.join_table
-    degs = [alg.bot] * len(r.codomain)
-    for x, dx in enumerate(d.degrees):
-        if dx == alg.bot:
-            continue
-        row = r.matrix[x]
-        for a in range(len(r.codomain)):
-            degs[a] = jt[degs[a]][mt[dx][row[a]]]
-    return HSubset(alg, r.codomain, degs)
+    return _join_image(r.algebra, r.codomain, r.transposed, d.degrees)
 
 
 def inv_image(r, u):
     """r- U (x) = join over a of U(a) /\\ r(x, a)."""
     _check_on(r, u, r.codomain, "argument")
-    alg = r.algebra
-    mt, jt = alg.meet_table, alg.join_table
-    degs = []
-    for x in range(len(r.domain)):
-        row = r.matrix[x]
-        acc = alg.bot
-        for a, ua in enumerate(u.degrees):
-            acc = jt[acc][mt[ua][row[a]]]
-            if acc == alg.top:
-                break
-        degs.append(acc)
-    return HSubset(alg, r.domain, degs)
+    return _join_image(r.algebra, r.domain, r.matrix, u.degrees)
 
 
 def right_adjoint(r, u):
     """r* U (x) = meet over a of r(x, a) -> U(a)."""
     _check_on(r, u, r.codomain, "argument")
-    alg = r.algebra
-    mt, it = alg.meet_table, alg.imp_table
-    degs = []
-    for x in range(len(r.domain)):
-        row = r.matrix[x]
-        acc = alg.top
-        for a, ua in enumerate(u.degrees):
-            acc = mt[acc][it[row[a]][ua]]
-            if acc == alg.bot:
-                break
-        degs.append(acc)
-    return HSubset(alg, r.domain, degs)
+    return _meet_image(r.algebra, r.domain, r.matrix, u.degrees)
 
 
 def inv_right_adjoint(r, d):
     """r-* D (a) = meet over x of r(x, a) -> D(x)."""
     _check_on(r, d, r.domain, "argument")
-    alg = r.algebra
-    mt, it = alg.meet_table, alg.imp_table
-    degs = [alg.top] * len(r.codomain)
-    for x, dx in enumerate(d.degrees):
-        row = r.matrix[x]
-        for a in range(len(r.codomain)):
-            degs[a] = mt[degs[a]][it[row[a]][dx]]
-    return HSubset(alg, r.codomain, degs)
+    return _meet_image(r.algebra, r.codomain, r.transposed, d.degrees)
 
 
 def symmetry_check(r):
@@ -131,11 +135,12 @@ def symmetry_check(r):
     alg = r.algebra
     doms = hset.enumerate_all(alg, r.domain)
     cods = hset.enumerate_all(alg, r.codomain)
+    invs = [inv_image(r, u) for u in cods]
     for d in doms:
         rd = dir_image(r, d)
-        for u in cods:
+        for u, inv_u in zip(cods, invs):
             lhs = hset.overlap(rd, u)
-            rhs = hset.overlap(d, inv_image(r, u))
+            rhs = hset.overlap(d, inv_u)
             if lhs != rhs:
                 return LawReport(
                     law="symmetry",

@@ -307,6 +307,31 @@ def test_relation_with_duplicate_domain_point_is_a_usage_error(tmp_path, capsys)
     _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
 
 
+def test_relation_with_second_domain_line_is_a_usage_error(tmp_path, capsys):
+    # the second line must not silently replace the first
+    doc = tmp_path / "w.doc"
+    doc.write_text(
+        "algebra boolean\ncarrier a\nrelation r\n  domain x y\n  domain z\n"
+        "  edge z a\nend\n"
+    )
+    with pytest.raises(ValidationError, match="relation 'r' has a second domain line"):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["identity", "bottom", "top", "complement", "double-complement", "inhabited"],
+)
+@pytest.mark.parametrize("args", ["extra", "extra args"])
+def test_argument_less_rule_with_arguments_is_a_usage_error(tmp_path, capsys, rule, args):
+    doc = tmp_path / "w.doc"
+    doc.write_text(f"algebra boolean\ncarrier a\noperator O {rule} {args}\n")
+    with pytest.raises(ParseError, match=f"line 3, column 1: {rule} takes no arguments"):
+        cli.parse_document(doc.read_text())
+    _one_line_usage_error(cli.main(["-d", str(doc), "validate"]), capsys)
+
+
 @pytest.mark.parametrize(
     "head, message",
     [

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heytop import btop, galois as gl, hset, optable as ot, rep
+from heytop import btop, galois as gl, heyting, hset, optable as ot, rep
 from conftest import external_reductions
 
 
@@ -24,6 +24,42 @@ def test_images_and_adjoints(bool2, xa):
     assert rep.right_adjoint(r, hset.from_points(bool2, s, ["a"])).render() == "{x}"
     assert rep.right_adjoint(r, hset.from_points(bool2, s, ["b"])).render() == "{}"
     assert rep.right_adjoint(r, hset.full(bool2, s)).render() == "{x}"
+
+
+def test_images_match_their_defining_formulas():
+    # a degree-valued relation between carriers of different sizes over the
+    # diamond, so reading the matrix where its transpose belongs (or the
+    # other way round) cannot give the right degrees
+    alg = heyting.downset_algebra(("p", "q"), [])
+    x = hset.Carrier(["x", "y"])
+    s = hset.Carrier(["a", "b", "c"])
+    r = rep.HRelation.from_triples(
+        alg, x, s,
+        [("x", "a", "p"), ("x", "b", "1"), ("y", "b", "q"), ("y", "c", "p"), ("x", "c", "q")],
+    )
+    m = r.matrix
+    doms = hset.enumerate_all(alg, x)
+    cods = hset.enumerate_all(alg, s)
+    for d in doms:
+        dd = d.degrees
+        assert rep.dir_image(r, d).degrees == tuple(
+            alg.big_join(alg.meet(dd[i], m[i][a]) for i in range(len(x)))
+            for a in range(len(s))
+        )
+        assert rep.inv_right_adjoint(r, d).degrees == tuple(
+            alg.big_meet(alg.imp(m[i][a], dd[i]) for i in range(len(x)))
+            for a in range(len(s))
+        )
+    for u in cods:
+        ud = u.degrees
+        assert rep.inv_image(r, u).degrees == tuple(
+            alg.big_join(alg.meet(ud[a], m[i][a]) for a in range(len(s)))
+            for i in range(len(x))
+        )
+        assert rep.right_adjoint(r, u).degrees == tuple(
+            alg.big_meet(alg.imp(m[i][a], ud[a]) for a in range(len(s)))
+            for i in range(len(x))
+        )
 
 
 def test_adjunction_laws_exhaustive(bool2, xa):
