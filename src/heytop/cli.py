@@ -59,6 +59,7 @@ included.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -511,10 +512,8 @@ def serialize(ws):
             lines.append(f"  cover {ws.carrier.points[point]} {cover.render()}")
         lines.append("end")
     for name in sorted(ws.operators):
-        op = ws.operators[name]
         lines.append(f"operator {name} table")
-        for u in hset.enumerate_all(ws.algebra, ws.carrier):
-            lines.append(f"  {u.render()} -> {op.apply(u).render()}")
+        lines.extend(_op_listing(ws, ws.operators[name]))
         lines.append("end")
     for name in sorted(ws.relations):
         r = ws.relations[name]
@@ -554,10 +553,9 @@ def _need(ws, kind, name):
 
 
 def _op_listing(ws, op):
-    lines = []
-    for u in hset.enumerate_all(ws.algebra, ws.carrier):
-        lines.append(f"  {u.render()} -> {op.apply(u).render()}")
-    return lines
+    """One line "U -> O U" per subset U, read from op's rank table."""
+    text = [u.render() for u in hset.enumerate_all(ws.algebra, ws.carrier)]
+    return [f"  {text[u]} -> {text[r]}" for u, r in enumerate(op.rank_table())]
 
 
 def _render_flag(label, flag):
@@ -814,28 +812,43 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
-def _arguments(argv):
-    """The parsed command line; an integer option falls back to its
-    environment variable, which must then hold an integer."""
+@functools.cache
+def _parser():
+    """The command-line parser, built on first use; an integer option it
+    does not see is None."""
     parser = _Parser(
         prog="heytop",
         description="saturations, reductions and basic topologies over "
         "finite Heyting-valued subset spaces",
     )
     parser.add_argument("-d", "--doc", help="workspace document file")
-    for flag, var, default, _, text in _INT_OPTIONS:
+    for flag, _, _, _, text in _INT_OPTIONS:
+        parser.add_argument(flag, type=int, help=text)
+    parser.add_argument("command", help="command to run")
+    parser.add_argument("args", nargs="*", help="command arguments")
+    return parser
+
+
+def _arguments(argv):
+    """The parsed command line; an integer option falls back to its
+    environment variable, read on every call, which must then hold an
+    integer."""
+    fallback = {}
+    for flag, var, default, _, _ in _INT_OPTIONS:
         value = os.environ.get(var)
         if value is not None:
             try:
                 default = int(value)
             except ValueError:
                 _usage_error(f"{var} must be an integer, not {value!r}")
-        parser.add_argument(flag, type=int, default=default, help=text)
-    parser.add_argument("command", help="command to run")
-    parser.add_argument("args", nargs="*", help="command arguments")
-    ns = parser.parse_args(argv)
+        fallback[flag] = default
+    ns = _parser().parse_args(argv)
     for flag, var, _, least, _ in _INT_OPTIONS:
-        value = getattr(ns, flag[2:].replace("-", "_"))
+        dest = flag[2:].replace("-", "_")
+        value = getattr(ns, dest)
+        if value is None:
+            value = fallback[flag]
+            setattr(ns, dest, value)
         if least is not None and value < least:
             _usage_error(f"{flag} (or {var}) must be at least {least}, not {value}")
     return ns

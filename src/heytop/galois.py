@@ -17,8 +17,8 @@ subset rank:
 from_family_sat and from_family_red (A_P and J_P, and through them
 join_saturations and meet_reductions) weigh each member top and every
 other subset bot; JJ(A) weighs Z by splits(Z, A) (optable.splits_vector);
-the non-Boolean gen.generate_sat and gen.generate_red weigh by the
-axiom-set's fulfilling and splitting degrees.  AA(J), the greatest
+gen.generate_sat and gen.generate_red (within the cap, in every algebra)
+weigh by the axiom-set's fulfilling and splitting degrees.  AA(J), the greatest
 saturation compatible with the reduction J, is one code path with LL.
 
 Neither formula scans pairs (U, P) or (Z, V), and neither do LL, the
@@ -101,11 +101,11 @@ class _Certified(Operator):
 
     def __init__(
         self, algebra, carrier, fn, name=None, *,
-        trusted=False, ranks=None, profile=None,
+        trusted=False, ranks=None, rule=None, profile=None,
     ):
-        """``ranks`` as for Operator; ``profile`` is classify's verdict on
-        this very rank table, when the caller has it already."""
-        super().__init__(algebra, carrier, fn, name=name, ranks=ranks)
+        """``ranks`` and ``rule`` as for Operator; ``profile`` is classify's
+        verdict on this very rank table, when the caller has it already."""
+        super().__init__(algebra, carrier, fn, name=name, ranks=ranks, rule=rule)
         if trusted:
             self.certificate = BY_CONSTRUCTION
         else:
@@ -135,9 +135,9 @@ class _Certified(Operator):
     def certify(cls, op, *, name=None, profile=None):
         """Wrap an existing operator, verifying its profile.
 
-        A tabulated operator hands over its rank table, so nothing is
-        applied again; ``profile``, classify's verdict on op, spares the
-        second classify.
+        A tabulated operator hands over its rank table, and an untabulated
+        one its rank-table rule, so nothing is applied again; ``profile``,
+        classify's verdict on op, spares the second classify.
         """
         return cls(
             op.algebra,
@@ -145,6 +145,7 @@ class _Certified(Operator):
             op.apply,
             name=name or op.name,
             ranks=op._ranks,
+            rule=op._rule,
             profile=profile,
         )
 

@@ -7,12 +7,15 @@ covers.  The generated saturation is the least fixed point adding points
 whose cover is included; the generated reduction is the greatest
 splitting subset below the argument, obtained by downward iteration.
 
-Boolean mode iterates both directly, in one worklist (_boolean_fixpoint)
-that never enumerates the subset space, so it scales to large sparse
-carriers.  Over a non-Boolean algebra both are the weighted-family
-formulas of galois over the enumerated subset space:
-galois.weighted_saturation weighted by fulfills_degree and
-galois.weighted_reduction weighted by splits_axioms_degree.
+Within the subset cap in force both are the weighted-family formulas of
+galois over the hset.Space, in every algebra: galois.weighted_saturation
+weighted by the fulfilling degree and galois.weighted_reduction by the
+splitting degree.  The AxiomSet keeps both weight vectors, each read
+from the planes in one pass per axiom (fulfills_degree and
+splits_axioms_degree give single degrees, the same values).  A Boolean
+space above the cap is iterated directly instead, in one worklist
+(_boolean_fixpoint) that never enumerates the subset space, so it scales
+to large sparse carriers; it serves only those spaces.
 
 Covers optionally carry a weight (an algebra element, top by default);
 weights only matter for the axiom-sets extracted from a saturation in
@@ -91,39 +94,83 @@ def splits_axioms_degree(z, ax):
 
 
 def generate_sat(ax, *, name=None):
-    """The saturation A_{I,C} generated inductively by the axiom-set.
+    """The saturation A_{I,C} generated inductively by the axiom-set:
+    A U (a) = meet over P of (incl(U,P) /\\ fulfills(P)) -> P(a).
 
-    Boolean mode: least fixed point by worklist iteration, at any size (it
-    never enumerates the subset space; the result provably equals the meet
-    over fulfilling supersets).
-    Otherwise:  A U (a) = meet over P of (incl(U,P) /\\ fulfills(P)) -> P(a).
+    A Boolean space above the cap takes the least fixed point by worklist
+    iteration, at any size (it never enumerates the subset space; the
+    result provably equals the meet over fulfilling supersets).
     """
     if name is None:
         name = "A_gen"
-    if ax.algebra.is_boolean:
+    if _worklist(ax):
         return _boolean_fixpoint(ax, Saturation, name)
     sp = hset.space(ax.algebra, ax.carrier)
     if ax._fulfills is None:
-        ax._fulfills = tuple(fulfills_degree(p, ax) for p in sp.subs)
+        ax._fulfills = _fulfills_weights(ax, sp)
     return weighted_saturation(sp, ax._fulfills, name=name)
 
 
 def generate_red(ax, *, name=None):
-    """The reduction J_{I,C} generated coinductively by the axiom-set.
-
-    Boolean mode: greatest fixed point by downward iteration, deleting
-    points with a cover missing the current set (equals the union of
-    splitting subsets below V).  Otherwise:
+    """The reduction J_{I,C} generated coinductively by the axiom-set:
     J V (a) = join over Z of incl(Z,V) /\\ splits(Z) /\\ Z(a).
+
+    A Boolean space above the cap takes the greatest fixed point by
+    downward iteration, deleting points with a cover missing the current
+    set (equals the union of splitting subsets below V).
     """
     if name is None:
         name = "J_gen"
-    if ax.algebra.is_boolean:
+    if _worklist(ax):
         return _boolean_fixpoint(ax, Reduction, name)
     sp = hset.space(ax.algebra, ax.carrier)
     if ax._splits is None:
-        ax._splits = tuple(splits_axioms_degree(z, ax) for z in sp.subs)
+        ax._splits = _splits_weights(ax, sp)
     return weighted_reduction(sp, ax._splits, name=name)
+
+
+def _worklist(ax):
+    """Whether generation takes the Boolean worklist: a Boolean space above
+    the subset cap in force, where the weighted formulas cannot enumerate."""
+    return ax.algebra.is_boolean and not hset.within_cap(ax.algebra, ax.carrier)
+
+
+def _fulfills_weights(ax, sp):
+    """fulfills_degree at every rank of P, one pass per axiom (a, C, w) over
+    the planes: incl(C, P) is Space.incl of the planes of C & ~P."""
+
+    def term(c, col):
+        bad = [c & ~p for p in sp.planes]
+        incl = {x: sp.incl(x) for x in set(bad)}
+        return map(incl.__getitem__, bad), col
+
+    return _axiom_weights(ax, sp, term)
+
+
+def _splits_weights(ax, sp):
+    """splits_axioms_degree at every rank of Z, one pass per axiom (a, C, w)
+    over the planes: overlap(C, Z) is Space.support of the planes of C & Z."""
+
+    def term(c, col):
+        meet = [c & z for z in sp.planes]
+        support = {x: sp.support(x) for x in set(meet)}
+        return col, map(support.__getitem__, meet)
+
+    return _axiom_weights(ax, sp, term)
+
+
+def _axiom_weights(ax, sp, term):
+    """The meet over axioms (a, C, w) of  w /\\ x -> y  at every rank, where
+    term(planes of C, the degrees at a) gives the x and the y of each rank."""
+    alg = ax.algebra
+    mt, it = alg.meet_table, alg.imp_table
+    acc = [alg.top] * len(sp.planes)
+    for point, cover, weight in ax.axioms:
+        col = [u.degrees[point] for u in sp.subs]
+        xs, ys = term(sp.planes[hset.subset_rank(cover)], col)
+        wt = mt[weight]
+        acc = [mt[s][it[wt[x]][y]] for s, x, y in zip(acc, xs, ys)]
+    return tuple(acc)
 
 
 def _boolean_fixpoint(ax, kind, name):
@@ -134,9 +181,9 @@ def _boolean_fixpoint(ax, kind, name):
     one of whose covers misses the current set; a cover misses the set
     exactly when it lies inside the complement, so the reduction is the
     same growth run on the complement of its argument, complemented back.
-    Covers weighted below top drop out.  The result is verified by classify
-    when the space is within the subset cap in force (hset.within_cap), and
-    trusted by construction otherwise, since classify cannot enumerate it.
+    Covers weighted below top drop out.  It runs only above the subset cap
+    in force, so the result is trusted by construction, since classify
+    cannot enumerate it.
     """
     alg = ax.algebra
     carrier = ax.carrier
@@ -161,8 +208,7 @@ def _boolean_fixpoint(ax, kind, name):
             alg, carrier, (top if (i in cur) == grow else bot for i in range(len(carrier)))
         )
 
-    trusted = not hset.within_cap(alg, carrier)
-    return kind(alg, carrier, fn, name=name, trusted=trusted)
+    return kind(alg, carrier, fn, name=name, trusted=True)
 
 
 def axioms_from_saturation(sat):

@@ -44,6 +44,7 @@ from .galois import (
 )
 from .optable import (
     compat_degree,
+    compat_degrees,
     compose,
     op_eq,
     op_eq_degree,
@@ -71,13 +72,12 @@ def _aggregate(law, instances):
 
 def law_galois(sats, reds):
     def gen():
-        aas = {id(j): AA(j) for j in reds}
-        jjs = {id(a): JJ(a) for a in sats}
-        for a in sats:
-            for j in reds:
-                d_compat = compat_degree(a, j)
-                d_sat = op_incl_degree(a, aas[id(j)])
-                d_red = op_incl_degree(j, jjs[id(a)])
+        aas = [AA(j) for j in reds]
+        jjs = [JJ(a) for a in sats]
+        for a, jj in zip(sats, jjs):
+            for j, aa, d_compat in zip(reds, aas, compat_degrees(a, reds)):
+                d_sat = op_incl_degree(a, aa)
+                d_red = op_incl_degree(j, jj)
                 yield (
                     f"({a.name or '?'}, {j.name or '?'})",
                     d_sat == d_compat == d_red,

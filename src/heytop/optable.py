@@ -1,14 +1,29 @@
 """Operators on subsets, their pointwise lattice, and compatibility.
 
 An Operator is a total map from HSubsets to HSubsets over a fixed
-(algebra, carrier) context.  Bodies are either rules (closures) or
-explicit tables.  An operator is tabulated eagerly, as a table of output
-ranks, when it is built while its subset space is within the subset cap
-in force (hset.subset_cap), which makes application, extensional
-equality and the quantified degree computations cheap; otherwise every
-application runs the body.  A table, once made, is the operator: applying
-it reads the space with no cap check, since the table proves the space
-was within a cap when it was made.
+(algebra, carrier) context, given by a body: a Python function on one
+HSubset.  An operator is tabulated eagerly, as a table of output ranks,
+when it is built while its subset space is within the subset cap in
+force (hset.subset_cap), which makes application, extensional equality
+and the quantified degree computations cheap.  A table, once made, is
+the operator: applying it reads the space with no cap check, since the
+table proves the space was within a cap when it was made.
+
+Most operators also carry a rank-table rule, which builds the whole
+table from the hset.Space at once, so tabulating them runs no body:
+identity (every rank itself), const_op and through it bottom, top and RR
+(one rank repeated), complement and double complement
+(``Space.pointwise`` of the negation and of its square), inhabited (the
+support of each subset, as the rank of the constant subset at that
+degree), compose (the outer table indexed by the inner one), and
+pointwise meet and join (``&`` and ``|`` of the members' planes).
+tabulated_op reads its rank table straight from its mapping; the
+family, generated and Galois-map operators (galois, gen) and LL are
+built from their rank tables.  A body still runs only where no table
+can be made: applying an operator whose space is above the cap in
+force, or tabulating one that has nothing but its body (the Boolean
+generation worklist, which serves spaces above the cap, and the
+relational operators of rep).
 
 The compatibility degree of O with O' is the meet over all subset pairs
 (U, V) of  overlap(O U, O' V) -> overlap(U, O' V);  in Boolean mode this
@@ -57,15 +72,18 @@ class Operator:
     twice by concurrent readers holds the same ranks either way.
     """
 
-    __slots__ = ("algebra", "carrier", "name", "_fn", "_ranks")
+    __slots__ = ("algebra", "carrier", "name", "_fn", "_rule", "_ranks")
 
-    def __init__(self, algebra, carrier, fn, name=None, *, ranks=None):
+    def __init__(self, algebra, carrier, fn, name=None, *, ranks=None, rule=None):
         """``ranks``, when given, is the operator's rank table; fn is then
-        never called and may be None."""
+        never called and may be None.  ``rule``, when given, maps the
+        operator's hset.Space to its rank table, which rank_table then makes
+        without calling fn."""
         self.algebra = algebra
         self.carrier = carrier
         self.name = name
         self._fn = fn
+        self._rule = rule
         self._ranks = None if ranks is None else tuple(ranks)
         if self._ranks is None and hset.within_cap(algebra, carrier):
             self.rank_table()
@@ -94,11 +112,16 @@ class Operator:
 
     def rank_table(self):
         """Outputs as subset ranks, indexed by input rank.  Made on the first
-        call, which raises CapExceeded when the space is above the subset cap
-        in force; once made, returned whatever the cap."""
+        call, from the rule if there is one, else by running the body on
+        every subset; that call raises CapExceeded when the space is above
+        the subset cap in force.  Once made, returned whatever the cap."""
         if self._ranks is None:
-            subs = enumerate_all(self.algebra, self.carrier)
-            self._ranks = tuple(hset.subset_rank(self._run(u)) for u in subs)
+            if self._rule is not None:
+                sp = hset.space(self.algebra, self.carrier)
+                self._ranks = tuple(self._rule(sp))
+            else:
+                subs = enumerate_all(self.algebra, self.carrier)
+                self._ranks = tuple(hset.subset_rank(self._run(u)) for u in subs)
         return self._ranks
 
     def __eq__(self, other):
@@ -119,13 +142,19 @@ class Operator:
 
 
 def identity_op(algebra, carrier):
-    return Operator(algebra, carrier, lambda u: u, name="id")
+    return Operator(
+        algebra, carrier, lambda u: u, name="id", rule=lambda sp: range(len(sp.planes))
+    )
 
 
 def const_op(value, name=None):
     if name is None:
         name = f"const{value.render()}"
-    return Operator(value.algebra, value.carrier, lambda u: value, name=name)
+    r = hset.subset_rank(value)
+    return Operator(
+        value.algebra, value.carrier, lambda u: value, name=name,
+        rule=lambda sp: (r,) * len(sp.planes),
+    )
 
 
 def bottom_op(algebra, carrier):
@@ -137,26 +166,38 @@ def top_op(algebra, carrier):
 
 
 def complement_op(algebra, carrier):
-    return Operator(algebra, carrier, lambda u: u.pseudo_complement(), name="-")
+    neg = [algebra.neg(x) for x in range(len(algebra))]
+    return Operator(
+        algebra, carrier, lambda u: u.pseudo_complement(), name="-",
+        rule=lambda sp: sp.pointwise(neg),
+    )
 
 
 def double_complement_op(algebra, carrier):
+    negneg = [algebra.neg(algebra.neg(x)) for x in range(len(algebra))]
     return Operator(
         algebra,
         carrier,
         lambda u: u.pseudo_complement().pseudo_complement(),
         name="--",
+        rule=lambda sp: sp.pointwise(negneg),
     )
 
 
 def inhabited_op(algebra, carrier):
     """Maps U to the constant vector 'U is inhabited' (the paper's example)."""
 
-    def fn(u):
-        d = hset.overlap(u, hset.full(algebra, carrier))
+    def const_at(d):
         return HSubset(algebra, carrier, (d,) * len(carrier))
 
-    return Operator(algebra, carrier, fn, name="inhabited")
+    def fn(u):
+        return const_at(hset.overlap(u, hset.full(algebra, carrier)))
+
+    def rule(sp):
+        const = [hset.subset_rank(const_at(d)) for d in range(len(algebra))]
+        return [const[sp.support(p)] for p in sp.planes]
+
+    return Operator(algebra, carrier, fn, name="inhabited", rule=rule)
 
 
 def compose(outer, inner, name=None):
@@ -166,24 +207,26 @@ def compose(outer, inner, name=None):
     if name is None:
         name = f"({outer.name or '?'} {inner.name or '?'})"
     return Operator(
-        outer.algebra, outer.carrier, lambda u: outer.apply(inner.apply(u)), name=name
+        outer.algebra, outer.carrier, lambda u: outer.apply(inner.apply(u)), name=name,
+        rule=lambda sp: map(outer.rank_table().__getitem__, inner.rank_table()),
     )
 
 
 def pointwise_join(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise union of operator results; the empty join is the bot operator."""
-    return _pointwise("join", "bot", bottom_op, ops, algebra, carrier, name)
+    return _pointwise("join", "bot", operator.or_, bottom_op, ops, algebra, carrier, name)
 
 
 def pointwise_meet(ops, *, algebra=None, carrier=None, name=None):
     """Pointwise intersection; the empty meet is the top operator."""
-    return _pointwise("meet", "top", top_op, ops, algebra, carrier, name)
+    return _pointwise("meet", "top", operator.and_, top_op, ops, algebra, carrier, name)
 
 
-def _pointwise(op, unit, empty, ops, algebra, carrier, name):
+def _pointwise(op, unit, fold, empty, ops, algebra, carrier, name):
     """The family's outputs folded point by point through the algebra's
-    ``op`` table (join or meet) from its ``unit`` element; ``empty`` builds
-    the operator of the empty family."""
+    ``op`` table (join or meet) from its ``unit`` element; ``fold`` is the
+    same operation on planes (| or &), which the rank-table rule applies;
+    ``empty`` builds the operator of the empty family."""
     ops = list(ops)
     algebra, carrier = hset.family_context(ops, algebra, carrier)
     if not ops:
@@ -197,15 +240,22 @@ def _pointwise(op, unit, empty, ops, algebra, carrier, name):
                 degs[i] = table[degs[i]][d]
         return HSubset(algebra, carrier, degs)
 
+    def rule(sp):
+        plane = sp.planes.__getitem__
+        acc = list(map(plane, ops[0].rank_table()))
+        for o in ops[1:]:
+            acc = list(map(fold, acc, map(plane, o.rank_table())))
+        return sp.ranks(acc)
+
     if name is None:
         name = f"{op}(" + ",".join(o.name or "?" for o in ops) + ")"
-    return Operator(algebra, carrier, fn, name=name)
+    return Operator(algebra, carrier, fn, name=name, rule=rule)
 
 
 def tabulated_op(algebra, carrier, mapping, name=None):
     """Operator from an explicit input -> output table; must be total."""
     subs = enumerate_all(algebra, carrier)
-    table = {}
+    ranks = [None] * len(subs)
     for u, v in mapping.items():
         if (
             u.algebra is not algebra
@@ -214,14 +264,14 @@ def tabulated_op(algebra, carrier, mapping, name=None):
             or v.carrier is not carrier
         ):
             raise ContextMismatch("table entries live over a different context")
-        table[u.degrees] = v
-    missing = [u for u in subs if u.degrees not in table]
+        ranks[hset.subset_rank(u)] = hset.subset_rank(v)
+    missing = [subs[r] for r, v in enumerate(ranks) if v is None]
     if missing:
         raise ValueError(
             f"table is not total: no output for {missing[0].render()} "
             f"({len(missing)} inputs missing)"
         )
-    return Operator(algebra, carrier, lambda u: table[u.degrees], name=name)
+    return Operator(algebra, carrier, None, name=name, ranks=ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +365,28 @@ def _image(table):
     return [(v, r) for r, v in first.items()]
 
 
-def _image_splits(o1, o2):
-    """The space, the image of O2 (as _image gives it) and splits(W, O1)
-    at each W in it; compat(O1, O2) is the meet of the latter (galois,
-    identity 5)."""
-    _same_op_context(o1, o2)
+def _image_splits(o1, o2s):
+    """The space and splits(W, O1) at each W in the image of any O2 in o2s,
+    as a dict, from one sweep of O1; compat(O1, O2) is the meet of the
+    splits degrees over the image of O2 (galois, identity 5)."""
+    for o2 in o2s:
+        _same_op_context(o1, o2)
     sp, g = _lower_join(o1)
-    image = _image(o2.rank_table())
-    return sp, image, _splits_at(sp, g, [w for _, w in image])
+    ws = list(set().union(*(o2.rank_table() for o2 in o2s)))
+    return sp, dict(zip(ws, _splits_at(sp, g, ws)))
+
+
+def compat_degrees(o1, o2s):
+    """compat_degree(O1, O2) for each O2 in o2s, sweeping O1 once and taking
+    each splits degree once."""
+    _, split = _image_splits(o1, o2s)
+    meet = o1.algebra.big_meet
+    return [meet(map(split.__getitem__, set(o2.rank_table()))) for o2 in o2s]
 
 
 def compat_degree(o1, o2):
     """Meet over all (U, V) of  (O1 U over O2 V) -> (U over O2 V)."""
-    _, _, split = _image_splits(o1, o2)
-    return o1.algebra.big_meet(split)
+    return compat_degrees(o1, [o2])[0]
 
 
 def compat_witness(o1, o2):
@@ -341,13 +399,15 @@ def compat_witness(o1, o2):
     witness scan reads only the W whose splits degree is below top: every
     instance of the others is top and never lowers the running best.
     """
-    sp, image, split = _image_splits(o1, o2)
+    sp, split = _image_splits(o1, [o2])
     alg = o1.algebra
-    acc = alg.big_meet(split)
+    acc = alg.big_meet(split.values())
     if acc == alg.top:
         return acc, None
     planes, support = sp.planes, sp.support
-    below = [(v, planes[w]) for (v, w), s in zip(image, split) if s != alg.top]
+    below = [
+        (v, planes[w]) for v, w in _image(o2.rank_table()) if split[w] != alg.top
+    ]
     it, lt = alg.imp_table, alg.leq_table
     best = alg.top
     where = None

@@ -9,7 +9,7 @@ from heytop.errors import (
     CapExceeded, ParseError, UnknownCommand, UnknownName, ValidationError,
 )
 from heytop.galois import JJ, galois_check
-from heytop.heyting import boolean2
+from heytop.heyting import boolean2, chain
 
 DOC = """\
 # 3-chain workspace
@@ -290,6 +290,16 @@ def test_env_fallback_for_caps(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_each_main_call_reads_the_environment_afresh(tmp_path, capsys, monkeypatch):
+    # one parser serves every call in the process; its fallbacks do not stick
+    doc = tmp_path / "w.doc"
+    doc.write_text(DOC)
+    for cap, code in (("4", cli.EXIT_CAP), ("9", cli.EXIT_OK), ("4", cli.EXIT_CAP)):
+        monkeypatch.setenv("HEYTOP_SUBSET_CAP", cap)
+        assert cli.main(["-d", str(doc), "ll", "Id"]) == code
+        capsys.readouterr()
+
+
 def _one_line_usage_error(code, capsys):
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
@@ -559,3 +569,46 @@ def test_bad_command_line_is_a_one_line_usage_error(tmp_path, capsys, argv):
     doc = tmp_path / "w.doc"
     doc.write_text(DOC)
     _one_line_usage_error(cli.main(["-d", str(doc)] + argv), capsys)
+
+
+# every built-in rule tabulates from its rank-table rule, with no body call
+
+
+def _every_rule_doc(algebra_line, alg):
+    car = hset.Carrier(["a", "b"])
+    table = "".join(
+        f"  {u.render()} -> {u.render()}\n" for u in hset.enumerate_all(alg, car)
+    )
+    return (
+        f"{algebra_line}\ncarrier a b\n"
+        "operator Id identity\noperator Bot bottom\noperator Top top\n"
+        "operator Neg complement\noperator DNeg double-complement\n"
+        "operator Inh inhabited\noperator C const {a}\n"
+        "operator Comp compose DNeg Inh\noperator M meet Id DNeg C\n"
+        "operator Jn join Id Neg\noperator Ap sat-family {a}\n"
+        "operator Jp red-family {b}\n"
+        f"operator T table\n{table}end\n"
+        "axiom_set ax\n  cover a {b}\n  cover b {}\nend\n"
+        "operator GA generated-sat ax\noperator GJ generated-red ax\n"
+        "topology Top1 Id Bot\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "algebra_line, alg",
+    [("algebra boolean", boolean2()), ("algebra chain 3", chain(3))],
+    ids=["boolean", "chain3"],
+)
+def test_no_operator_body_runs_within_the_cap(tmp_path, capsys, monkeypatch, algebra_line, alg):
+    doc = tmp_path / "rules.doc"
+    doc.write_text(_every_rule_doc(algebra_line, alg))
+    commands = [["validate"], ["classify", "M"], ["galois", "GA", "GJ"], ["generate", "ax"]]
+    expected = [_main_out(["-d", str(doc)] + argv, capsys) for argv in commands]
+
+    def no_body(op, u):
+        raise AssertionError(f"{op.name}: body ran")
+
+    monkeypatch.setattr(ot.Operator, "_run", no_body)
+    got = [_main_out(["-d", str(doc)] + argv, capsys) for argv in commands]
+    assert got == expected
+    assert got[0][0] == cli.EXIT_OK and got[0][2] == ""

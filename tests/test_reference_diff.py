@@ -1,5 +1,6 @@
 """Differential test: the quantified kernels, the family operators and the
-generated operators against the naive reference.
+generated operators against the naive reference, and each rank-table rule
+and plane-read axiom weight against the body or single degree it replaces.
 
 Rank tables are drawn at random (almost never monotone, so the full-scan
 witness search runs) or taken from real saturations and reductions, some
@@ -282,6 +283,41 @@ def test_family_operators_match_reference(name, data):
         assert list(j_p.rank_table()) == ref.J_P(alg, npts, family)
 
 
+def _body_table(op):
+    """op's rank table as its body gives it, subset by subset."""
+    subs = hset.enumerate_all(op.algebra, op.carrier)
+    return tuple(hset.subset_rank(op._run(u)) for u in subs)
+
+
+@space_names
+@settings(max_examples=10)
+@given(data=st.data())
+def test_rank_table_rules_match_bodies(name, data):
+    # each built-in operator tabulates from its rule, with no body call;
+    # the rule must give the table its body gives
+    space = SPACES[name]
+    alg, car = space
+    subs = hset.enumerate_all(alg, car)
+    tables = [data.draw(rank_tables(space)) for _ in range(3)]
+    members = [_operator(space, t) for t in tables]
+    k = data.draw(st.integers(1, 3))
+    ops = [
+        ot.identity_op(alg, car),
+        ot.bottom_op(alg, car),
+        ot.top_op(alg, car),
+        ot.const_op(data.draw(st.sampled_from(subs))),
+        ot.complement_op(alg, car),
+        ot.double_complement_op(alg, car),
+        ot.inhabited_op(alg, car),
+        ot.compose(members[0], members[1]),
+        ot.pointwise_meet(members[:k]),
+        ot.pointwise_join(members[:k]),
+    ]
+    for op in ops:
+        assert op.rank_table() == _body_table(op), op.name
+    assert members[2].rank_table() == tuple(tables[2])
+
+
 @st.composite
 def axiom_sets(draw, space):
     """Covers (point index, cover rank, weight), weights below top included."""
@@ -304,7 +340,8 @@ def _axiom_set(space, covers):
 @settings(max_examples=20)
 @given(data=st.data())
 def test_generated_operators_match_reference(name, data):
-    # Boolean spaces run the worklist, the others the weighted formulas
+    # within the cap every space runs the weighted formulas, with the weights
+    # read from the planes; the Boolean worklist is tested below
     space = SPACES[name]
     alg, npts = space[0], len(space[1])
     covers = data.draw(axiom_sets(space))
@@ -313,16 +350,35 @@ def test_generated_operators_match_reference(name, data):
     assert list(gen.generate_red(ax).rank_table()) == ref.generate_red(alg, npts, covers)
 
 
+@space_names
+@settings(max_examples=15)
+@given(data=st.data())
+def test_axiom_weights_read_from_planes_match_single_degrees(name, data):
+    space = SPACES[name]
+    sp = hset.space(*space)
+    ax = _axiom_set(space, data.draw(axiom_sets(space)))
+    gen.generate_sat(ax)
+    gen.generate_red(ax)
+    assert list(ax._fulfills) == [gen.fulfills_degree(p, ax) for p in sp.subs]
+    assert list(ax._splits) == [gen.splits_axioms_degree(z, ax) for z in sp.subs]
+
+
 @settings(max_examples=30)
 @given(data=st.data())
 def test_boolean_worklists_match_weighted_formulas(data):
+    # built under a cap of 1, so generation takes the worklist (it serves
+    # only spaces above the cap); tabulated through its body outside that
+    # block, where == reads the rank tables
     space = SPACES["boolean2x3"]
     sp = hset.space(*space)
     ax = _axiom_set(space, data.draw(axiom_sets(space)))
+    with hset.subset_cap(1):
+        worklist_sat, worklist_red = gen.generate_sat(ax), gen.generate_red(ax)
+    assert worklist_sat.certificate == worklist_red.certificate == galois.BY_CONSTRUCTION
     fulfills = [gen.fulfills_degree(p, ax) for p in sp.subs]
     splits = [gen.splits_axioms_degree(z, ax) for z in sp.subs]
-    assert gen.generate_sat(ax) == galois.weighted_saturation(sp, fulfills)
-    assert gen.generate_red(ax) == galois.weighted_reduction(sp, splits)
+    assert worklist_sat == galois.weighted_saturation(sp, fulfills)
+    assert worklist_red == galois.weighted_reduction(sp, splits)
 
 
 at_the_default_cap = pytest.mark.parametrize(

@@ -83,6 +83,26 @@ def test_operator_tabulates_exactly_within_the_cap(bool2):
         optable.classify(op)
 
 
+def test_a_rule_tabulates_under_a_later_raised_cap(bool2, monkeypatch):
+    ident = optable.identity_op(bool2, BIG)
+    comp = optable.complement_op(bool2, BIG)
+    ops = [ident, comp, optable.pointwise_meet([ident, comp]), optable.compose(comp, comp)]
+    assert [op._ranks for op in ops] == [None] * 4  # above the default cap
+
+    def no_body(op, u):
+        raise AssertionError(f"{op.name}: body ran")
+
+    monkeypatch.setattr(optable.Operator, "_run", no_body)
+    with hset.subset_cap(8192):
+        ident_t, comp_t, meet_t, twice_t = (op.rank_table() for op in ops)
+        sat = galois.Saturation.certify(ident)
+    n = hset.space_size(bool2, BIG)
+    assert ident_t == twice_t == tuple(range(n))
+    assert comp_t == tuple(n - 1 - r for r in range(n))  # bot is 0, top 1
+    assert meet_t == (0,) * n
+    assert sat.rank_table() == ident_t and sat.certificate.is_saturation
+
+
 def test_boolean_generation_is_verified_within_the_cap(bool2):
     cover = hset.from_points(bool2, BIG, ["p1"])
     ax = gen.AxiomSet(bool2, BIG, [("p0", cover)])
